@@ -18,9 +18,16 @@ import time
 
 from . import __version__
 from .density import EPANECHNIKOV, GAUSSIAN, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
-from .experiments import ExperimentConfig, run_experiment, write_ape_csv, write_table1_csv, write_table2_csv
+from .experiments import (
+    ExperimentConfig,
+    ReplicationError,
+    run_experiment,
+    write_ape_csv,
+    write_table1_csv,
+    write_table2_csv,
+)
 from .fpca import fit_fpca, scores, select_dimension_fev, write_eigensystem_csv
-from .grids import FunctionalSample, read_sample_csv, write_sample_csv
+from .grids import FunctionalSample, read_sample_csv, write_csv, write_sample_csv
 from .processes import (
     DISTRIBUTIONS,
     PROCESS_KINDS,
@@ -66,6 +73,18 @@ def _ints(text: str) -> list[int]:
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _bandwidth(text: str):
+    """A number is an explicit bandwidth; other text names a rule (resolve_bandwidth checks both)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _score_header(d: int) -> list[str]:
+    return [f"score_{j + 1}" for j in range(d)]
 
 
 def process_spec_from_config(cfg: dict) -> ProcessSpec:
@@ -157,58 +176,47 @@ def cmd_fpca(args) -> int:
         "mean.csv",
         lambda p: write_sample_csv(FunctionalSample(system.grid, system.mean[None, :]), p),
     )
-
-    def write_scores(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"score_{j + 1}" for j in range(d)) + "\n")
-            for row in score_matrix.entries:
-                fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
-
-    writer.write("scores.csv", write_scores)
+    writer.write(
+        "scores.csv",
+        lambda p: write_csv(p, (row.tolist() for row in score_matrix.entries), header=_score_header(d)),
+    )
     writer.finish()
     return 0
+
+
+def _density_at(sample: FunctionalSample, targets: FunctionalSample, args):
+    """FPCA of the sample, then its d-dim score KDE at the targets: (system, target scores, values)."""
+    system = fit_fpca(sample)
+    sample_scores = scores(sample, system, args.d)
+    h = resolve_bandwidth(sample_scores, args.bandwidth)
+    estimator = DensityEstimator(sample_scores, h, KernelSpec(args.kernel, args.d))
+    target_scores = scores(targets, system, args.d).entries
+    return system, target_scores, kde_evaluate_many(estimator, target_scores)
 
 
 def cmd_density(args) -> int:
     sample = read_sample_csv(args.input)
     targets = read_sample_csv(args.targets)
-    system = fit_fpca(sample)
-    sample_scores = scores(sample, system, args.d)
-    h = resolve_bandwidth(sample_scores, args.bandwidth_value or args.bandwidth)
-    estimator = DensityEstimator(sample_scores, h, KernelSpec(args.kernel, args.d))
-    target_scores = scores(targets, system, args.d).entries
-    values = kde_evaluate_many(estimator, target_scores)
+    _, target_scores, values = _density_at(sample, targets, args)
     writer = OutputWriter(
         args.out,
         "density",
         None,
         {"input": args.input, "targets": args.targets, "d": args.d, "kernel": args.kernel},
     )
-
-    def write_density(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            head = ",".join(f"score_{j + 1}" for j in range(args.d))
-            fh.write(f"target,{head},f_hat\n")
-            for i, (row, val) in enumerate(zip(target_scores, values.tolist())):
-                cells = ",".join(repr(v) for v in row.tolist())
-                fh.write(f"{i},{cells},{repr(val)}\n")
-
-    writer.write("density.csv", write_density)
+    rows = ([i, *row.tolist(), val] for i, (row, val) in enumerate(zip(target_scores, values.tolist())))
+    writer.write("density.csv", lambda p: write_csv(p, rows, header=["target", *_score_header(args.d), "f_hat"]))
     writer.finish()
     return 0
 
 
 def cmd_smbp(args) -> int:
     sample = read_sample_csv(args.input)
-    target_sample = read_sample_csv(args.target)
-    if target_sample.n != 1:
+    target = read_sample_csv(args.target)
+    if target.n != 1:
         raise CliError("the smbp target CSV must contain exactly one curve")
-    x = target_sample.curve(0)
-    system = fit_fpca(sample)
-    sample_scores = scores(sample, system, args.d)
-    h = resolve_bandwidth(sample_scores, args.bandwidth_value or args.bandwidth)
-    estimator = DensityEstimator(sample_scores, h, KernelSpec(args.kernel, args.d))
-    f_d = float(kde_evaluate_many(estimator, scores(x, system, args.d)[None, :])[0])
+    system, _, values = _density_at(sample, target, args)
+    x, f_d = target.curve(0), float(values[0])
     reports = [
         factorize(sample, x, eps, args.d, system, f_d, args.J) for eps in args.eps
     ]
@@ -242,10 +250,10 @@ def cmd_experiment(args) -> int:
     d_values = tuple(_ints(cfg.get("d", "1")))
     reps = args.replications if args.replications is not None else int(cfg.get("reps", 200))
     kernel = args.kernel if args.kernel is not None else cfg.get("kernel", GAUSSIAN)
-    bandwidth = args.bandwidth if args.bandwidth is not None else cfg.get("bandwidth", "normal-scale")
-    results = []
-    for n in n_values:
-        config = ExperimentConfig(
+    bandwidth = args.bandwidth if args.bandwidth is not None else _bandwidth(cfg.get("bandwidth", "normal-scale"))
+    # Every n is validated before the first study runs.
+    configs = [
+        ExperimentConfig(
             process=spec,
             n=n,
             d_values=d_values,
@@ -254,7 +262,9 @@ def cmd_experiment(args) -> int:
             kernel_family=kernel,
             bandwidth_rule=bandwidth,
         )
-        results.append(run_experiment(config, threads=args.threads))
+        for n in n_values
+    ]
+    results = [run_experiment(config, threads=args.threads) for config in configs]
     writer = OutputWriter(args.out, "experiment", seed, cfg)
     table_name = "table1.csv" if spec.kind == SINE else "table2.csv"
     table_writer = write_table1_csv if spec.kind == SINE else write_table2_csv
@@ -273,54 +283,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="base seed for all randomness")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (never changes output bytes)")
-        p.add_argument("--config", default=None, help="flat key=value config file")
+    def command(name, func, summary, seeded=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--out", required=True, help="output directory")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="base seed for all randomness")
+            p.add_argument("--config", default=None, help="flat key=value config file")
+        return p
 
-    p = sub.add_parser("simulate", help="draw a seeded sample and write it as CSV")
-    common(p)
+    bandwidth_help = "bandwidth: a rule (normal-scale or rate) or a positive number"
+
+    p = command("simulate", cmd_simulate, "draw a seeded sample and write it as CSV", seeded=True)
     p.add_argument("--n", type=int, default=None, help="number of curves (overrides config)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fpca", help="eigendecompose a sample CSV")
-    common(p)
+    p = command("fpca", cmd_fpca, "eigendecompose a sample CSV")
     p.add_argument("--input", required=True, help="sample CSV")
     p.add_argument("--d", type=int, default=None, help="number of score columns to export")
     p.add_argument("--fev", type=float, default=None,
                    help="pick d as the smallest level whose explained-variance fraction reaches this threshold")
-    p.set_defaults(func=cmd_fpca)
 
-    p = sub.add_parser("density", help="estimate the surrogate density at target curves")
-    common(p)
+    p = command("density", cmd_density, "estimate the surrogate density at target curves")
     p.add_argument("--input", required=True, help="sample CSV")
     p.add_argument("--targets", required=True, help="target curves CSV (same grid)")
     p.add_argument("--d", type=int, required=True, help="truncation level")
     p.add_argument("--kernel", default=EPANECHNIKOV, help="kernel family")
-    p.add_argument("--bandwidth", default="normal-scale", help="bandwidth rule (normal-scale or rate)")
-    p.add_argument("--bandwidth-value", type=float, default=None, help="explicit bandwidth override")
-    p.set_defaults(func=cmd_density)
+    p.add_argument("--bandwidth", type=_bandwidth, default="normal-scale", help=bandwidth_help)
 
-    p = sub.add_parser("smbp", help="small-ball factorization report at a target curve")
-    common(p)
+    p = command("smbp", cmd_smbp, "small-ball factorization report at a target curve")
     p.add_argument("--input", required=True, help="sample CSV")
     p.add_argument("--target", required=True, help="CSV with the single center curve")
     p.add_argument("--eps", type=float, nargs="+", required=True, help="radii to evaluate")
     p.add_argument("--d", type=int, required=True, help="truncation level")
     p.add_argument("--J", type=int, required=True, help="tail cutoff for the correction factor")
     p.add_argument("--kernel", default=EPANECHNIKOV, help="kernel family for f_d")
-    p.add_argument("--bandwidth", default="normal-scale", help="bandwidth rule")
-    p.add_argument("--bandwidth-value", type=float, default=None, help="explicit bandwidth override")
-    p.set_defaults(func=cmd_smbp)
+    p.add_argument("--bandwidth", type=_bandwidth, default="normal-scale", help=bandwidth_help)
 
-    p = sub.add_parser("experiment", help="run a replicated Monte Carlo study from a config")
-    common(p)
+    p = command("experiment", cmd_experiment, "run a replicated Monte Carlo study from a config", seeded=True)
+    p.add_argument("--threads", type=int, default=1, help="worker threads, at least 1 (never changes output bytes)")
     p.add_argument("--replications", type=int, default=None, help="override the config replication count")
     p.add_argument("--kernel", default=None, help="override the config kernel family")
-    p.add_argument("--bandwidth", default=None, help="override the config bandwidth rule")
-    p.set_defaults(func=cmd_experiment)
+    p.add_argument("--bandwidth", type=_bandwidth, default=None, help="override the config " + bandwidth_help)
 
     return parser
 
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ReplicationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

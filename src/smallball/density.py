@@ -152,8 +152,8 @@ def resolve_bandwidth(score_matrix: ScoreMatrix, rule, p: float = 2.0) -> float:
     if callable(rule):
         return float(rule(score_matrix))
     if isinstance(rule, (int, float)):
-        if rule <= 0:
-            raise ValueError("explicit bandwidth must be positive")
+        if not (math.isfinite(rule) and rule > 0):
+            raise ValueError(f"explicit bandwidth must be positive and finite, got {rule!r}")
         return float(rule)
     if rule == "normal-scale":
         return bandwidth_normal_scale(score_matrix)

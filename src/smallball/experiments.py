@@ -18,6 +18,7 @@ import numpy as np
 
 from .density import GAUSSIAN, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
 from .fpca import fit_fpca, scores
+from .grids import write_csv
 from .processes import (
     SINE,
     WIENER,
@@ -33,6 +34,10 @@ from .processes import (
 # Intensity values at or below this are excluded from APE: the relative error
 # blows up where the truth vanishes (the chi-square support boundary).
 APE_TRUTH_FLOOR = 1e-6
+
+
+class ReplicationError(RuntimeError):
+    """A replication raised; the message names its index and the cause."""
 
 
 def rmsep(estimates, truths) -> float:
@@ -64,7 +69,7 @@ class ExperimentConfig:
     replications: int = 200
     base_seed: int = 0
     kernel_family: str = GAUSSIAN
-    bandwidth_rule: str = "normal-scale"
+    bandwidth_rule: str | float = "normal-scale"
     bandwidth_p: float = 2.0
     b_grid: tuple[float, ...] = ()
 
@@ -81,6 +86,11 @@ class ExperimentConfig:
         d_values = tuple(int(d) for d in self.d_values)
         if not d_values or any(d < 1 for d in d_values):
             raise ValueError("d_values must be positive integers")
+        if max(d_values) >= self.n:
+            raise ValueError(
+                f"d={max(d_values)} needs n > d, got n={self.n}: "
+                "a centred sample of n curves has rank at most n - 1"
+            )
         object.__setattr__(self, "d_values", d_values)
         b_grid = tuple(float(b) for b in self.b_grid)
         if not b_grid:
@@ -175,8 +185,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         try:
             return run_replication(config, index)
         except Exception as exc:
-            raise RuntimeError(f"replication {index} failed: {exc}") from exc
+            raise ReplicationError(f"replication {index} failed: {exc}") from exc
 
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     indices = range(config.replications)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -210,35 +222,28 @@ def _dist_label(spec: ProcessSpec) -> str:
 
 def write_table1_csv(results: list[ExperimentResult], path) -> None:
     """Sine-process study rows: dist, n, mean, std (one row per result and d)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dist,n,mean,std\n")
-        for res in results:
-            for d in res.config.d_values:
-                fh.write(
-                    f"{_dist_label(res.config.process)},{res.config.n},"
-                    f"{repr(res.rmsep_mean[d])},{repr(res.rmsep_std[d])}\n"
-                )
+    rows = (
+        (_dist_label(res.config.process), res.config.n, res.rmsep_mean[d], res.rmsep_std[d])
+        for res in results for d in res.config.d_values
+    )
+    write_csv(path, rows, header=("dist", "n", "mean", "std"))
 
 
 def write_table2_csv(results: list[ExperimentResult], path) -> None:
     """Wiener-style study rows: n, d, mean, std."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,d,mean,std\n")
-        for res in results:
-            for d in res.config.d_values:
-                fh.write(
-                    f"{res.config.n},{d},{repr(res.rmsep_mean[d])},{repr(res.rmsep_std[d])}\n"
-                )
+    rows = (
+        (res.config.n, d, res.rmsep_mean[d], res.rmsep_std[d])
+        for res in results for d in res.config.d_values
+    )
+    write_csv(path, rows, header=("n", "d", "mean", "std"))
 
 
 def write_ape_csv(results: list[ExperimentResult], path) -> None:
     """Per-b mean APE rows: dist, n, b, mean_ape (excluded points are skipped)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dist,n,b,mean_ape\n")
-        for res in results:
-            for b, value in zip(res.config.b_grid, res.ape_mean.tolist()):
-                if math.isnan(value):
-                    continue
-                fh.write(
-                    f"{_dist_label(res.config.process)},{res.config.n},{repr(b)},{repr(value)}\n"
-                )
+    rows = (
+        (_dist_label(res.config.process), res.config.n, b, value)
+        for res in results
+        for b, value in zip(res.config.b_grid, res.ape_mean.tolist())
+        if not math.isnan(value)
+    )
+    write_csv(path, rows, header=("dist", "n", "b", "mean_ape"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Curve, FunctionalSample, Grid, GridMismatchError
+from .grids import Curve, FunctionalSample, Grid, GridMismatchError, write_csv
 
 # Eigenvalues of an empirical covariance below this are rounding noise and
 # get clamped to zero; anything more negative indicates a broken input.
@@ -194,7 +194,8 @@ def select_dimension_fev(eigenvalues, threshold: float) -> int:
 
 def write_eigensystem_csv(system: EigenSystem, path) -> None:
     """Export an eigensystem: one row per eigenfunction, eigenvalue first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda," + ",".join(repr(t) for t in system.grid.points.tolist()) + "\n")
-        for lam, row in zip(system.eigenvalues.tolist(), system.eigenfunctions):
-            fh.write(repr(lam) + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
+    write_csv(
+        path,
+        ([lam, *row.tolist()] for lam, row in zip(system.eigenvalues.tolist(), system.eigenfunctions)),
+        header=["lambda", *system.grid.points.tolist()],
+    )

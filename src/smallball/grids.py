@@ -172,12 +172,14 @@ def read_sample_csv(path) -> FunctionalSample:
     CsvFormatError with the 1-based line number.
     """
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             cells = line.split(",")
+            linenos.append(lineno)
             try:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
@@ -189,13 +191,22 @@ def read_sample_csv(path) -> FunctionalSample:
                 )
     if len(rows) < 2:
         raise CsvFormatError(len(rows), "need a grid row plus at least one curve row")
-    grid = Grid(np.asarray(rows[0]))
-    return FunctionalSample(grid, np.asarray(rows[1:]))
+    table = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise CsvFormatError(linenos[bad[0]], "values must be finite (found nan or inf)")
+    return FunctionalSample(Grid(table[0]), table[1:])
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write an optional header row, then each row, as comma-separated ``str`` cells, one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(map(str, header)) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_sample_csv(sample: FunctionalSample, path) -> None:
     """Write a sample in the CSV format accepted by read_sample_csv."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(v) for v in sample.grid.points.tolist()) + "\n")
-        for row in sample.values:
-            fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
+    write_csv(path, (row.tolist() for row in sample.values), header=sample.grid.points.tolist())

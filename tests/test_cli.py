@@ -1,14 +1,31 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smallball.cli import main, parse_config_text
+import smallball
+from smallball.cli import build_parser, main, parse_config_text
+from smallball.density import EPANECHNIKOV, estimate_surrogate_density
 from smallball.grids import read_sample_csv
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def write_wiener_sample(tmp_path, n: int, seed: int):
+    """Simulate n Wiener paths through the CLI; return the sample CSV path and its lines."""
+    cfg = tmp_path / "wiener.cfg"
+    cfg.write_text("process = wiener\nJ = 20\n")
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(sim), "--n", str(n)) == 0
+    path = sim / "sample.csv"
+    return path, path.read_text().splitlines()
 
 
 class TestConfigParsing:
@@ -180,3 +197,100 @@ class TestFevSelection:
         )
         err = capsys.readouterr().err
         assert code == 1 and "threshold" in err
+
+
+# Every option each subcommand accepts: --seed and --config only where a seed
+# or config is read, --threads only on the replicated study.
+OPTIONS = {
+    "simulate": {"--out", "--seed", "--config", "--n"},
+    "fpca": {"--out", "--input", "--d", "--fev"},
+    "density": {"--out", "--input", "--targets", "--d", "--kernel", "--bandwidth"},
+    "smbp": {"--out", "--input", "--target", "--eps", "--d", "--J", "--kernel", "--bandwidth"},
+    "experiment": {"--out", "--seed", "--config", "--threads", "--replications", "--kernel", "--bandwidth"},
+}
+
+
+def test_each_subcommand_takes_only_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {flag for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 29
+
+
+@pytest.mark.parametrize("bandwidth", ["normal-scale", "0.3"])
+def test_density_and_smbp_match_library_pipeline(tmp_path, bandwidth):
+    """density.csv's f_hat and smbp's f_d equal estimate_surrogate_density exactly."""
+    sample_csv, lines = write_wiener_sample(tmp_path, n=150, seed=8)
+    targets_csv = tmp_path / "targets.csv"
+    targets_csv.write_text("\n".join(lines[:9]) + "\n")
+    target_csv = tmp_path / "target.csv"
+    target_csv.write_text(lines[0] + "\n" + lines[4] + "\n")
+    sample = read_sample_csv(sample_csv)
+    rule = bandwidth if bandwidth == "normal-scale" else float(bandwidth)
+    shared = ("--input", str(sample_csv), "--d", "2", "--bandwidth", bandwidth)
+
+    dens = tmp_path / "dens"
+    assert run_cli("density", *shared, "--targets", str(targets_csv), "--out", str(dens)) == 0
+    rows = (dens / "density.csv").read_text().splitlines()[1:]
+    want, _, _ = estimate_surrogate_density(sample, read_sample_csv(targets_csv), 2, EPANECHNIKOV, rule)
+    assert [float(r.rsplit(",", 1)[1]) for r in rows] == want.tolist()
+
+    smbp = tmp_path / "smbp"
+    code = run_cli("smbp", *shared, "--target", str(target_csv), "--eps", "0.5", "--J", "6", "--out", str(smbp))
+    assert code == 0
+    report = json.loads((smbp / "factorization.json").read_text())[0]
+    want, _, _ = estimate_surrogate_density(sample, read_sample_csv(target_csv), 2, EPANECHNIKOV, rule)
+    assert report["f_d"] == want[0] > 0
+
+
+class TestRefusedInput:
+    """Input that cannot work ends in one 'error:' line and exit status 1."""
+
+    @pytest.mark.parametrize("bandwidth", ["0", "nan", "bogus"])
+    def test_bad_bandwidth(self, tmp_path, capsys, bandwidth):
+        sample_csv, _ = write_wiener_sample(tmp_path, n=30, seed=9)
+        out = tmp_path / "dens"
+        code = run_cli(
+            "density", "--input", str(sample_csv), "--targets", str(sample_csv), "--d", "1",
+            "--bandwidth", bandwidth, "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "bandwidth" in err
+        assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = sine\nn = 40\nreps = 2\n")
+        code = run_cli("experiment", "--config", str(cfg), "--seed", "1", "--threads", threads,
+                       "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "threads" in err
+
+    def test_failed_replication(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = sine\nn = 40\nreps = 2\nbandwidth = bogus\n")
+        # A child interpreter, so that an uncaught exception would show as a traceback on stderr.
+        src = str(Path(smallball.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "smallball.cli", "experiment", "--config", str(cfg), "--seed", "1",
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: replication 0 failed: unknown bandwidth rule 'bogus'")
+        assert "Traceback" not in done.stderr
+
+    def test_d_beyond_sample_rank(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = wiener\nJ = 20\nn = 50,5\nd = 7\nreps = 1\n")
+        out = tmp_path / "w"
+        code = run_cli("experiment", "--config", str(cfg), "--seed", "5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "d=7" in err and "n=5" in err
+        assert not (out / "table2.csv").exists()

@@ -19,6 +19,7 @@ from smallball import (
     kde_evaluate,
     kde_evaluate_many,
     kernel_profile,
+    resolve_bandwidth,
     sample_sine,
     sample_wiener,
     true_intensity,
@@ -87,6 +88,11 @@ class TestBandwidthRules:
     def test_degenerate_scores_rejected(self):
         with pytest.raises(ValueError):
             bandwidth_normal_scale(ScoreMatrix(np.zeros((10, 1))))
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
+    def test_explicit_value_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="explicit bandwidth"):
+            resolve_bandwidth(ScoreMatrix(np.arange(10.0)[:, None]), h)
 
 
 class TestKdeEvaluate:

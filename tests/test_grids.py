@@ -169,6 +169,14 @@ class TestCsv:
             read_sample_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,0.5,1.0\n1.0,2.0,3.0\n\n1.0,{cell},3.0\n")
+        with pytest.raises(CsvFormatError, match="finite") as err:
+            read_sample_csv(path)
+        assert err.value.line == 4
+
     def test_needs_curve_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("0.0,0.5,1.0\n")
