@@ -22,7 +22,6 @@ from .density import (
     bandwidth_normal_scale,
     bandwidth_rate,
     estimate_surrogate_density,
-    kde_evaluate,
     kde_evaluate_many,
     kernel_profile,
     resolve_bandwidth,

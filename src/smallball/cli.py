@@ -167,7 +167,9 @@ def cmd_fpca(args) -> int:
     elif args.d is not None:
         d = args.d
     else:
-        d = min(sample.n, sample.grid.size)
+        d = system.rank
+        if d == 0:
+            raise CliError(f"the {sample.n} curves are identical (all-zero spectrum); no scores to export")
     score_matrix = scores(sample, system, d)
     writer = OutputWriter(args.out, "fpca", None, {"input": args.input, "d": d})
 
@@ -187,6 +189,7 @@ def cmd_fpca(args) -> int:
 def _density_at(sample: FunctionalSample, targets: FunctionalSample, args):
     """FPCA of the sample, then its d-dim score KDE at the targets: (system, target scores, values)."""
     system = fit_fpca(sample)
+    system.require_rank(args.d, sample.n)
     sample_scores = scores(sample, system, args.d)
     h = resolve_bandwidth(sample_scores, args.bandwidth)
     estimator = DensityEstimator(sample_scores, h, KernelSpec(args.kernel, args.d))
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fpca", cmd_fpca, "eigendecompose a sample CSV")
     p.add_argument("--input", required=True, help="sample CSV")
-    p.add_argument("--d", type=int, default=None, help="number of score columns to export")
+    p.add_argument("--d", type=int, default=None, help="score columns to export (default: the numerical rank)")
     p.add_argument("--fev", type=float, default=None,
                    help="pick d as the smallest level whose explained-variance fraction reaches this threshold")
 

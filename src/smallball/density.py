@@ -28,6 +28,9 @@ GAUSSIAN = "gaussian-radial"
 KERNEL_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN)
 COMPACT_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN)
 
+# Smoothness order p of the "rate" bandwidth rule: a twice-differentiable density.
+RATE_SMOOTHNESS = 2.0
+
 
 def _sphere_surface(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
@@ -82,9 +85,9 @@ def bandwidth_rate(n: int, d: int, p: float, c: float) -> float:
     return c * n ** (-1.0 / (2.0 * p + d))
 
 
-def score_scale(score_matrix: ScoreMatrix | np.ndarray) -> float:
+def score_scale(score_matrix: ScoreMatrix) -> float:
     """Root mean per-coordinate variance of the scores (population variances)."""
-    entries = score_matrix.entries if isinstance(score_matrix, ScoreMatrix) else np.atleast_2d(score_matrix)
+    entries = score_matrix.entries
     if entries.shape[0] < 2:
         raise ValueError("need at least 2 score rows to estimate a scale")
     sigma2 = entries.var(axis=0).mean()
@@ -93,11 +96,10 @@ def score_scale(score_matrix: ScoreMatrix | np.ndarray) -> float:
     return float(np.sqrt(sigma2))
 
 
-def bandwidth_normal_scale(score_matrix: ScoreMatrix | np.ndarray) -> float:
+def bandwidth_normal_scale(score_matrix: ScoreMatrix) -> float:
     """Normal-scale bandwidth for the radial form: sigma * (4/((d+2) n))^(1/(d+4))."""
-    entries = score_matrix.entries if isinstance(score_matrix, ScoreMatrix) else np.atleast_2d(score_matrix)
-    n, d = entries.shape
-    return score_scale(entries) * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
+    n, d = score_matrix.n, score_matrix.d
+    return score_scale(score_matrix) * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,6 @@ class DensityEstimator:
             raise ValueError(
                 f"kernel dimension {self.kernel.dim} does not match score dimension {self.scores.d}"
             )
-
-
-def kde_evaluate(estimator: DensityEstimator, point) -> float:
-    """Density estimate at one d-vector."""
-    return float(kde_evaluate_many(estimator, np.asarray(point, dtype=float).reshape(1, -1))[0])
 
 
 def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
@@ -142,15 +139,13 @@ def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
     return out / (entries.shape[0] * h**d)
 
 
-def resolve_bandwidth(score_matrix: ScoreMatrix, rule, p: float = 2.0) -> float:
+def resolve_bandwidth(score_matrix: ScoreMatrix, rule) -> float:
     """Turn a bandwidth rule into a number.
 
-    Accepts a positive float (used as-is), "normal-scale", "rate" (minimax
-    exponent with smoothness p and the normal-scale sigma as constant), or a
-    callable mapping the ScoreMatrix to a bandwidth.
+    Accepts a positive float (used as-is), "normal-scale", or "rate" (minimax
+    exponent with smoothness RATE_SMOOTHNESS and the normal-scale sigma as
+    constant).
     """
-    if callable(rule):
-        return float(rule(score_matrix))
     if isinstance(rule, (int, float)):
         if not (math.isfinite(rule) and rule > 0):
             raise ValueError(f"explicit bandwidth must be positive and finite, got {rule!r}")
@@ -158,7 +153,7 @@ def resolve_bandwidth(score_matrix: ScoreMatrix, rule, p: float = 2.0) -> float:
     if rule == "normal-scale":
         return bandwidth_normal_scale(score_matrix)
     if rule == "rate":
-        return bandwidth_rate(score_matrix.n, score_matrix.d, p, score_scale(score_matrix))
+        return bandwidth_rate(score_matrix.n, score_matrix.d, RATE_SMOOTHNESS, score_scale(score_matrix))
     raise ValueError(f"unknown bandwidth rule {rule!r}")
 
 
@@ -168,7 +163,6 @@ def estimate_surrogate_density(
     d: int,
     kernel_family: str = EPANECHNIKOV,
     bandwidth_rule="normal-scale",
-    bandwidth_p: float = 2.0,
 ):
     """Full pipeline: FPCA, score projection, bandwidth, KDE at the targets.
 
@@ -180,8 +174,9 @@ def estimate_surrogate_density(
     if sample.n < 2:
         raise ValueError("need at least 2 sample curves")
     system = fit_fpca(sample)
+    system.require_rank(d, sample.n)
     sample_scores = scores(sample, system, d)
-    h = resolve_bandwidth(sample_scores, bandwidth_rule, bandwidth_p)
+    h = resolve_bandwidth(sample_scores, bandwidth_rule)
     estimator = DensityEstimator(sample_scores, h, KernelSpec(kernel_family, d))
     x_scores = scores(x_curves, system, d).entries
     return kde_evaluate_many(estimator, x_scores), system, estimator

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import GAUSSIAN, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
+from .density import GAUSSIAN, RATE_SMOOTHNESS, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
 from .fpca import fit_fpca, scores
 from .grids import write_csv
 from .processes import (
@@ -70,8 +70,6 @@ class ExperimentConfig:
     base_seed: int = 0
     kernel_family: str = GAUSSIAN
     bandwidth_rule: str | float = "normal-scale"
-    bandwidth_p: float = 2.0
-    b_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.process.kind not in (SINE, WIENER):
@@ -92,10 +90,11 @@ class ExperimentConfig:
                 "a centred sample of n curves has rank at most n - 1"
             )
         object.__setattr__(self, "d_values", d_values)
-        b_grid = tuple(float(b) for b in self.b_grid)
-        if not b_grid:
-            b_grid = tuple(default_b_grid(self.process.kind, self.process.dist).tolist())
-        object.__setattr__(self, "b_grid", b_grid)
+
+    @property
+    def b_grid(self) -> tuple[float, ...]:
+        """The target b values: the standard grid of the process and score law."""
+        return tuple(default_b_grid(self.process.kind, self.process.dist).tolist())
 
     def config_hash(self) -> str:
         payload = {
@@ -112,7 +111,7 @@ class ExperimentConfig:
             "base_seed": self.base_seed,
             "kernel_family": self.kernel_family,
             "bandwidth_rule": self.bandwidth_rule,
-            "bandwidth_p": self.bandwidth_p,
+            "bandwidth_p": RATE_SMOOTHNESS,
             "b_grid": list(self.b_grid),
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -159,7 +158,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     ape_by_b = None
     for d in config.d_values:
         sample_scores = scores(sample, system, d)
-        h = resolve_bandwidth(sample_scores, config.bandwidth_rule, config.bandwidth_p)
+        h = resolve_bandwidth(sample_scores, config.bandwidth_rule)
         estimator = DensityEstimator(sample_scores, h, KernelSpec(config.kernel_family, d))
         target_scores = scores(targets, system, d).entries
         estimates = kde_evaluate_many(estimator, target_scores)

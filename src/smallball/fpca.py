@@ -16,8 +16,9 @@ import numpy as np
 
 from .grids import Curve, FunctionalSample, Grid, GridMismatchError, write_csv
 
-# Eigenvalues of an empirical covariance below this are rounding noise and
-# get clamped to zero; anything more negative indicates a broken input.
+# Eigenvalues of an empirical covariance below this (times max(1, lambda_max),
+# so the test follows the data's units) are rounding noise and get clamped to
+# zero; anything more negative indicates a broken input.
 NEGATIVE_EIGENVALUE_TOLERANCE = 1e-10
 
 
@@ -52,9 +53,19 @@ class EigenSystem:
     def mean_curve(self) -> Curve:
         return Curve(self.grid, self.mean)
 
-    def eigenfunction(self, j: int) -> Curve:
-        """The j-th eigenfunction (0-based) as a Curve."""
-        return Curve(self.grid, self.eigenfunctions[j])
+    @property
+    def rank(self) -> int:
+        """Numerical rank: the count of eigenvalues above p * eps_mach * lambda_1."""
+        lam = self.eigenvalues
+        return int(np.count_nonzero(lam > lam.size * np.finfo(float).eps * lam.max(initial=0.0)))
+
+    def require_rank(self, d: int, n: int) -> None:
+        """Refuse a score dimension d above the rank: scores past it are rounding noise."""
+        if d > self.rank:
+            raise ValueError(
+                f"d={d} exceeds the numerical rank {self.rank} of the n={n} curve sample; "
+                f"use d <= {self.rank}"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,17 @@ def eigendecompose(cov: np.ndarray, grid: Grid, mean: Curve) -> EigenSystem:
     """Solve the weighted eigenproblem of the discretized covariance operator.
 
     Eigenvalues come back descending, with values in
-    (-NEGATIVE_EIGENVALUE_TOLERANCE, 0) clamped to zero; each eigenfunction is
+    (-NEGATIVE_EIGENVALUE_TOLERANCE * max(1, lambda_max), 0) clamped to zero;
+    the symmetry check allows 1e-10 * max(1, max|C|).  Each eigenfunction is
     scaled so its entry of largest absolute value is positive, which makes
     runs reproducible under sign ambiguity.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (grid.size, grid.size):
         raise ValueError("covariance matrix must be p x p on the given grid")
-    if np.max(np.abs(cov - cov.T)) > 1e-10:
-        raise ValueError("covariance matrix is not symmetric to 1e-10")
+    symmetry_tol = 1e-10 * max(1.0, float(np.abs(cov).max()))
+    if np.max(np.abs(cov - cov.T)) > symmetry_tol:
+        raise ValueError(f"covariance matrix is not symmetric to {symmetry_tol:g}")
     if not mean.grid.matches(grid):
         raise GridMismatchError("mean curve is not on the covariance grid")
     if np.any(grid.weights <= 0):
@@ -117,9 +130,10 @@ def eigendecompose(cov: np.ndarray, grid: Grid, mean: Curve) -> EigenSystem:
 
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    if np.any(vals <= -NEGATIVE_EIGENVALUE_TOLERANCE):
+    negative_tol = NEGATIVE_EIGENVALUE_TOLERANCE * max(1.0, float(vals[0]))
+    if np.any(vals <= -negative_tol):
         raise ValueError(
-            f"eigenvalue {vals.min():.3e} below -{NEGATIVE_EIGENVALUE_TOLERANCE:g}; "
+            f"eigenvalue {vals.min():.3e} below -{negative_tol:g}; "
             "the covariance input is broken"
         )
     vals = np.where(vals < 0, 0.0, vals)

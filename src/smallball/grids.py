@@ -45,7 +45,7 @@ class Grid:
     """Strictly increasing abscissae t_1 < ... < t_p with trapezoid weights."""
 
     points: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -55,15 +55,7 @@ class Grid:
             raise ValueError("grid points must be finite")
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
-        weights = self.weights
-        if weights is None:
-            weights = trapezoid_weights(points)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != points.shape:
-                raise ValueError("weights must match points in length")
-            if np.any(weights < 0):
-                raise ValueError("quadrature weights must be nonnegative")
+        weights = trapezoid_weights(points)
         points.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)

@@ -85,9 +85,9 @@ def default_grid(kind: str) -> Grid:
     return Grid.uniform(0.0, 1.0, GRID_POINTS)
 
 
-def draw_scalar(dist: str, rng: SeededRng | np.random.Generator, size=None):
+def draw_scalar(dist: str, rng: SeededRng, size=None):
     """Zero-mean unit-variance draws from one of the three score laws."""
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
+    g = rng.generator()
     if dist == STD_NORMAL:
         return g.standard_normal(size)
     if dist == STD_STUDENT_T5:

@@ -199,7 +199,8 @@ def select_dimension_prop1(lambdas, eps: float, delta: float) -> int:
     for k in range(1, lam.size):
         if k * tail[k] <= target:
             # Independent re-summation; slack covers summation-order rounding.
-            assert k * float(np.sum(lam[k:])) <= target * (1.0 + 1e-12) + 1e-300
+            if k * float(np.sum(lam[k:])) > target * (1.0 + 1e-12) + 1e-300:
+                raise RuntimeError(f"k={k}: the re-summed tail breaks k*tail(k) <= {target:.3e}")
             return k
     raise ValueError(
         f"no k up to {lam.size - 1} satisfies k*tail(k) <= eps^(2+delta) = {target:.3e}; "
@@ -230,7 +231,7 @@ def select_dimension_hyper(lambdas, eps: float, delta1: float):
     sub-interval of (beta(delta1), 1) on which the upper inequality actually
     holds, with beta(delta1) = 1 - (1-delta1) log(k*tail(k)) / log(lambda_k);
     any interior point of that interval is valid and the midpoint keeps the
-    choice deterministic.  Returns (d, delta2) and re-asserts both
+    choice deterministic.  Returns (d, delta2) and re-checks both
     inequalities on the returned value.
     """
     if not 0.0 < delta1 < 1.0:
@@ -258,7 +259,8 @@ def select_dimension_hyper(lambdas, eps: float, delta1: float):
             continue
         delta2 = 0.5 * (interval[0] + interval[1])
         upper_bound = lam[k - 1] ** (1.0 - delta2)
-        assert b <= eps2 <= upper_bound
+        if not b <= eps2 <= upper_bound:
+            raise RuntimeError(f"k={k}: bracket {b:.3e} <= eps^2 = {eps2:.3e} <= {upper_bound:.3e} fails")
         return k, delta2
     bounds = ", ".join(f"k={k}: b={b:.3e}, B={B:.3e}" for k, b, B in scanned)
     raise ValueError(f"no admissible dimension for eps={eps}; scanned brackets: {bounds}")

@@ -78,6 +78,24 @@ class TestFpcaCommand:
         scores = np.loadtxt(fp / "scores.csv", delimiter=",", skiprows=1)
         assert scores.shape == (40, 3)
 
+    def test_default_d_is_numerical_rank(self, tmp_path):
+        out = tmp_path / "sim"
+        run_cli("simulate", "--seed", "4", "--out", str(out), "--n", "80")  # sine: rank one
+        fp = tmp_path / "fpca"
+        assert run_cli("fpca", "--input", str(out / "sample.csv"), "--out", str(fp)) == 0
+        header = (fp / "scores.csv").read_text().split("\n")[0]
+        assert header == "score_1"
+        assert json.loads((fp / "manifest.json").read_text())["config"]["d"] == 1
+
+    def test_identical_curves_have_no_default_d(self, tmp_path, capsys):
+        sample = tmp_path / "flat.csv"
+        sample.write_text("0,0.5,1\n1,1,1\n1,1,1\n")
+        out = tmp_path / "fpca"
+        assert run_cli("fpca", "--input", str(sample), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "all-zero spectrum" in err
+        assert not (out / "scores.csv").exists()
+
     def test_missing_input_is_reported(self, tmp_path, capsys):
         assert run_cli("fpca", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")) == 1
         assert "error:" in capsys.readouterr().err
@@ -294,3 +312,16 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "d=7" in err and "n=5" in err
         assert not (out / "table2.csv").exists()
+
+    def test_density_d_beyond_numerical_rank(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--seed", "4", "--out", str(sim), "--n", "5")  # sine: rank one
+        out = tmp_path / "dens"
+        code = run_cli(
+            "density", "--input", str(sim / "sample.csv"), "--targets", str(sim / "sample.csv"),
+            "--d", "7", "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:")
+        assert "d=7" in err and "rank 1" in err and "n=5" in err
+        assert not (out / "density.csv").exists()

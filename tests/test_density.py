@@ -16,7 +16,6 @@ from smallball import (
     bandwidth_normal_scale,
     bandwidth_rate,
     estimate_surrogate_density,
-    kde_evaluate,
     kde_evaluate_many,
     kernel_profile,
     resolve_bandwidth,
@@ -98,17 +97,17 @@ class TestBandwidthRules:
 class TestKdeEvaluate:
     def test_single_point_height(self):
         est = DensityEstimator(ScoreMatrix(np.zeros((1, 1))), 1.0, KernelSpec(EPANECHNIKOV, 1))
-        assert kde_evaluate(est, [0.0]) == pytest.approx(0.75)
+        assert kde_evaluate_many(est, [[0.0]])[0] == pytest.approx(0.75)
 
     def test_outside_compact_support(self):
         est = DensityEstimator(ScoreMatrix(np.zeros((1, 1))), 1.0, KernelSpec(EPANECHNIKOV, 1))
-        assert kde_evaluate(est, [5.0]) == 0.0
+        assert kde_evaluate_many(est, [[5.0]])[0] == 0.0
 
     def test_two_point_hand_value(self):
         est = DensityEstimator(
             ScoreMatrix(np.array([[0.5], [-0.5]])), 1.0, KernelSpec(EPANECHNIKOV, 1)
         )
-        assert kde_evaluate(est, [0.0]) == pytest.approx(0.5625)
+        assert kde_evaluate_many(est, [[0.0]])[0] == pytest.approx(0.5625)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
@@ -121,7 +120,7 @@ class TestKdeEvaluate:
     def test_dimension_mismatch(self):
         est = DensityEstimator(ScoreMatrix(np.zeros((3, 2))), 1.0, KernelSpec(EPANECHNIKOV, 2))
         with pytest.raises(ValueError):
-            kde_evaluate(est, [0.0])
+            kde_evaluate_many(est, [[0.0]])[0]
 
     @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
     def test_integrates_to_one_1d(self, family):
@@ -156,11 +155,21 @@ class TestKdeEvaluate:
         entries = np.array([[0.0], [2.0]])
         h = 0.3
         est = DensityEstimator(ScoreMatrix(entries), h, KernelSpec(EPANECHNIKOV, 1))
-        assert kde_evaluate(est, [1.0]) == 0.0
-        assert kde_evaluate(est, [2.2]) > 0.0
+        assert kde_evaluate_many(est, [[1.0]])[0] == 0.0
+        assert kde_evaluate_many(est, [[2.2]])[0] > 0.0
 
 
 class TestSurrogateDensityPipeline:
+    def test_d_beyond_numerical_rank_is_refused(self, sine_grid):
+        # Rank one: every score past the first is rounding noise; a 2-d KDE
+        # over that noise read 0.929 at b=0 on this sample, where the truth is 0.399.
+        sample = sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))
+        targets = target_curves("sine", [0.0], sine_grid)
+        with pytest.raises(ValueError, match=r"d=2 exceeds the numerical rank 1 of the n=80"):
+            estimate_surrogate_density(sample, targets, 2)
+        values, _, _ = estimate_surrogate_density(sample, targets, 1)
+        assert values[0] == pytest.approx(0.399, abs=0.1)
+
     def test_symmetric_sample_symmetric_targets(self, sine_grid):
         e1 = sine_basis_function(sine_grid)
         a = np.concatenate([np.linspace(0.2, 2.0, 25), -np.linspace(0.2, 2.0, 25)])

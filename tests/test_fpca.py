@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallball import (
     Curve,
@@ -74,6 +76,16 @@ class TestEigendecompose:
         mean = Curve(unit_grid, np.zeros(unit_grid.size))
         system = eigendecompose(np.zeros((unit_grid.size, unit_grid.size)), unit_grid, mean)
         assert np.all(system.eigenvalues == 0.0)
+
+    def test_rejects_clearly_negative_eigenvalue(self, unit_grid):
+        # Eigenvalues -1e-3 * lambda_max are no rounding noise at any scale.
+        sqw = np.sqrt(unit_grid.weights)
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((unit_grid.size, 3)))
+        lam = np.array([1e4, 5e3, -10.0])
+        cov = (q * lam) @ q.T / np.outer(sqw, sqw)
+        mean = Curve(unit_grid, np.zeros(unit_grid.size))
+        with pytest.raises(ValueError, match="broken"):
+            eigendecompose(cov, unit_grid, mean)
 
     def test_rejects_asymmetric(self, unit_grid):
         mean = Curve(unit_grid, np.zeros(unit_grid.size))
@@ -229,3 +241,33 @@ def test_rank_bounded_by_sample_size(unit_grid):
     sample = sample_wiener(40, unit_grid, 50, SeededRng(14, 0))
     system = fit_fpca(sample)
     assert np.all(system.eigenvalues[40:] < 1e-12)
+
+
+def test_numerical_rank(unit_grid, sine_grid):
+    assert fit_fpca(sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))).rank == 1
+    assert fit_fpca(sample_wiener(40, unit_grid, 50, SeededRng(14, 0))).rank == 39
+    assert fit_fpca(sample_wiener(200, unit_grid, 12, SeededRng(14, 0))).rank == 12
+    assert fit_fpca(FunctionalSample(unit_grid, np.ones((5, unit_grid.size)))).rank == 0
+
+
+def test_units_do_not_decide_acceptance(unit_grid):
+    # Rank-deficient (n < p) paths in other units: the rounding noise of the
+    # null eigenvalues grows with the scale, and must still be clamped.
+    sample = sample_wiener(50, unit_grid, 50, SeededRng(3, 0))
+    system = fit_fpca(FunctionalSample(unit_grid, 1e4 * sample.values))
+    assert system.rank == 49
+    assert np.all(system.eigenvalues >= 0.0)
+
+
+_SCALE_BASE = sample_wiener(30, Grid.uniform(0.0, 1.0, 100), 50, SeededRng(15, 0))
+_SCALE_FIT = fit_fpca(_SCALE_BASE)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.floats(min_value=1e-3, max_value=1e4))
+def test_scaling_law(c):
+    scaled = fit_fpca(FunctionalSample(_SCALE_BASE.grid, c * _SCALE_BASE.values))
+    r = _SCALE_FIT.rank
+    assert scaled.rank == r
+    np.testing.assert_allclose(scaled.eigenvalues[:r], c**2 * _SCALE_FIT.eigenvalues[:r], rtol=1e-8)
+    np.testing.assert_allclose(scaled.eigenfunctions[:3], _SCALE_FIT.eigenfunctions[:3], atol=1e-8)

@@ -95,7 +95,7 @@ class TestInnerProduct:
 
     def test_grid_mismatch(self, unit_grid):
         other = Grid.uniform(0.0, 1.0, 100)
-        other = Grid(other.points + 0.0, None)  # same values, same weights -> matches
+        other = Grid(other.points + 0.0)  # same values, same weights -> matches
         f = Curve(unit_grid, np.ones(100))
         g = Curve(other, np.ones(100))
         assert inner_product(f, g) == pytest.approx(1.0)  # exact equality counts as same grid
