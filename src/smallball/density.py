@@ -26,7 +26,6 @@ EPANECHNIKOV = "epanechnikov-radial"
 TRUNCATED_GAUSSIAN = "truncated-gaussian-radial"
 GAUSSIAN = "gaussian-radial"
 KERNEL_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN)
-COMPACT_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN)
 
 # Smoothness order p of the "rate" bandwidth rule: a twice-differentiable density.
 RATE_SMOOTHNESS = 2.0
@@ -49,10 +48,6 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}")
         if self.dim < 1:
             raise ValueError("kernel dimension must be at least 1")
-
-    @property
-    def compact(self) -> bool:
-        return self.family in COMPACT_FAMILIES
 
 
 def kernel_profile(spec: KernelSpec, r) -> np.ndarray | float:

@@ -52,11 +52,13 @@ def rmsep(estimates, truths) -> float:
     return float(np.sum((est - tru) ** 2) / denom)
 
 
-def ape(estimate: float, truth: float) -> float:
-    """Absolute percentage error |estimate - truth| / |truth|."""
-    if truth == 0:
+def ape(estimate, truth):
+    """Absolute percentage error |estimate - truth| / |truth|, elementwise on arrays."""
+    tru = np.asarray(truth, dtype=float)
+    if np.any(tru == 0):
         raise ValueError("APE is undefined at a zero truth value")
-    return abs(estimate - truth) / abs(truth)
+    err = np.abs(np.asarray(estimate, dtype=float) - tru) / np.abs(tru)
+    return float(err) if err.ndim == 0 else err
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,13 @@ class ExperimentConfig:
         d_values = tuple(int(d) for d in self.d_values)
         if not d_values or any(d < 1 for d in d_values):
             raise ValueError("d_values must be positive integers")
-        if max(d_values) >= self.n:
+        # A centred sample of n curves has rank at most n - 1, and the sine
+        # process has rank 1, the truncated Wiener process rank J.
+        rank = min(1 if self.process.kind == SINE else self.process.J, self.n - 1)
+        if max(d_values) > rank:
             raise ValueError(
-                f"d={max(d_values)} needs n > d, got n={self.n}: "
-                "a centred sample of n curves has rank at most n - 1"
+                f"d={max(d_values)} exceeds the rank {rank} of a centred {self.process.kind} "
+                f"sample of n={self.n} curves; use d <= {rank}"
             )
         object.__setattr__(self, "d_values", d_values)
 
@@ -170,7 +175,7 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
         if ape_by_b is None:
             keep = np.abs(truths) > APE_TRUTH_FLOOR
             ape_by_b = np.full(truths.shape, np.nan)
-            ape_by_b[keep] = np.abs(estimates[keep] - truths[keep]) / np.abs(truths[keep])
+            ape_by_b[keep] = ape(estimates[keep], truths[keep])
     return ReplicationResult(rmsep_by_d=rmsep_by_d, ape_by_b=ape_by_b)
 
 

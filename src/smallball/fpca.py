@@ -160,14 +160,22 @@ def scores(curves: FunctionalSample | Curve, system: EigenSystem, d: int):
     """
     if d < 1 or d > system.eigenvalues.size:
         raise ValueError(f"d={d} is out of range (1..{system.eigenvalues.size})")
-    weighted_basis = (system.eigenfunctions[:d] * system.grid.weights).T
-    if isinstance(curves, Curve):
-        if not curves.grid.matches(system.grid):
-            raise GridMismatchError("curve and eigensystem grids differ")
-        return (curves.values - system.mean) @ weighted_basis
     if not curves.grid.matches(system.grid):
-        raise GridMismatchError("sample and eigensystem grids differ")
-    return ScoreMatrix((curves.values - system.mean) @ weighted_basis)
+        raise GridMismatchError("curves and eigensystem grids differ")
+    weighted_basis = (system.eigenfunctions[:d] * system.grid.weights).T
+    projected = (curves.values - system.mean) @ weighted_basis
+    return projected if isinstance(curves, Curve) else ScoreMatrix(projected)
+
+
+def _spectrum(eigenvalues) -> tuple[np.ndarray, float]:
+    """A nonempty nonnegative spectrum and its positive total."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.size == 0 or np.any(lam < 0):
+        raise ValueError("eigenvalues must be a nonempty nonnegative sequence")
+    total = lam.sum()
+    if total == 0:
+        raise ValueError("all-zero spectrum has no explained-variance fractions")
+    return lam, total
 
 
 def fev(eigenvalues, d: int) -> float:
@@ -176,12 +184,7 @@ def fev(eigenvalues, d: int) -> float:
     The total is the sum of the supplied (finite) sequence, so for truncated
     spectra this is the finite-sequence proxy of the infinite-sum ratio.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0 or np.any(lam < 0):
-        raise ValueError("eigenvalues must be a nonempty nonnegative sequence")
-    total = lam.sum()
-    if total == 0:
-        raise ValueError("all-zero spectrum has no explained-variance fractions")
+    lam, total = _spectrum(eigenvalues)
     if d < 1 or d > lam.size:
         raise ValueError(f"d={d} is out of range (1..{lam.size})")
     return float(lam[:d].sum() / total)
@@ -191,12 +194,7 @@ def select_dimension_fev(eigenvalues, threshold: float) -> int:
     """Smallest d whose fraction of explained variance reaches the threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0 or np.any(lam < 0):
-        raise ValueError("eigenvalues must be a nonempty nonnegative sequence")
-    total = lam.sum()
-    if total == 0:
-        raise ValueError("all-zero spectrum has no explained-variance fractions")
+    lam, total = _spectrum(eigenvalues)
     fractions = np.cumsum(lam) / total
     hits = np.nonzero(fractions >= threshold)[0]
     if hits.size == 0:

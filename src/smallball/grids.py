@@ -79,14 +79,8 @@ class Grid:
         return float(self.points[-1])
 
     def matches(self, other: "Grid") -> bool:
-        """Same grid by identity, or by exact point/weight equality."""
-        if self is other:
-            return True
-        return (
-            self.points.shape == other.points.shape
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
+        """Same grid by identity, or by exact point equality (weights follow from the points)."""
+        return self is other or np.array_equal(self.points, other.points)
 
 
 def _require_same_grid(a: Grid, b: Grid) -> None:
@@ -182,7 +176,8 @@ def read_sample_csv(path) -> FunctionalSample:
                     f"expected {len(rows[0])} columns, found {len(rows[-1])}",
                 )
     if len(rows) < 2:
-        raise CsvFormatError(len(rows), "need a grid row plus at least one curve row")
+        # The missing row was due on the line after the last nonblank one.
+        raise CsvFormatError(linenos[-1] + 1 if linenos else 1, "need a grid row plus at least one curve row")
     table = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:

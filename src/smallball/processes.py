@@ -125,12 +125,15 @@ def wiener_tail_mass(J: int) -> float:
     return 0.5 - float(wiener_eigenvalues(J).sum())
 
 
+def _kl_sample(grid: Grid, draws: np.ndarray, lambdas: np.ndarray, basis: np.ndarray) -> FunctionalSample:
+    """Karhunen-Loeve paths sum_j sqrt(lambda_j) draws_j e_j: one path per row of draws, e_j per row of basis."""
+    return FunctionalSample(grid, (draws * np.sqrt(lambdas)[None, :]) @ basis)
+
+
 def sample_wiener(n: int, grid: Grid, J: int, rng: SeededRng) -> FunctionalSample:
     """Truncated Karhunen-Loeve Wiener paths sum_j sqrt(lambda_j) Z_j sqrt(2) sin((j-0.5) pi t)."""
-    g = rng.generator()
-    z = g.standard_normal((n, J))
-    coeffs = z * np.sqrt(wiener_eigenvalues(J))[None, :]
-    return FunctionalSample(grid, coeffs @ wiener_basis(grid, J))
+    draws = rng.generator().standard_normal((n, J))
+    return _kl_sample(grid, draws, wiener_eigenvalues(J), wiener_basis(grid, J))
 
 
 def fourier_sine_basis(grid: Grid, J: int) -> np.ndarray:
@@ -156,20 +159,16 @@ def _exp_power_unit_variance(q: float, g: np.random.Generator, shape) -> np.ndar
 
 def sample_gaussian_kl(n: int, grid: Grid, lambdas, J: int, rng: SeededRng) -> FunctionalSample:
     """Gaussian KL process sum_{j<=J} sqrt(lambda_j) Z_j e_j on the Fourier sine basis."""
-    lam = np.asarray(lambdas, dtype=float)[:J]
-    g = rng.generator()
-    coeffs = g.standard_normal((n, J)) * np.sqrt(lam)[None, :]
-    return FunctionalSample(grid, coeffs @ fourier_sine_basis(grid, J))
+    draws = rng.generator().standard_normal((n, J))
+    return _kl_sample(grid, draws, np.asarray(lambdas, dtype=float)[:J], fourier_sine_basis(grid, J))
 
 
 def sample_exp_power_kl(n: int, grid: Grid, lambdas, q: float, J: int, rng: SeededRng) -> FunctionalSample:
     """KL process with independent unit-variance exponential-power(q) scores."""
     if q < 2:
         raise ValueError("the exponential-power family requires q >= 2")
-    lam = np.asarray(lambdas, dtype=float)[:J]
-    g = rng.generator()
-    coeffs = _exp_power_unit_variance(q, g, (n, J)) * np.sqrt(lam)[None, :]
-    return FunctionalSample(grid, coeffs @ fourier_sine_basis(grid, J))
+    draws = _exp_power_unit_variance(q, rng.generator(), (n, J))
+    return _kl_sample(grid, draws, np.asarray(lambdas, dtype=float)[:J], fourier_sine_basis(grid, J))
 
 
 def sample_process(spec: ProcessSpec, n: int, grid: Grid, rng: SeededRng) -> FunctionalSample:

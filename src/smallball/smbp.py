@@ -41,35 +41,35 @@ def ball_volume(d: int, eps: float) -> float:
     return math.exp(d * math.log(eps) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
-def tail_statistic(x_tail_scores, theta_tail_scores, eps: float) -> float:
-    """Scaled squared tail distance (1/eps^2) sum_j (theta_j - x_j)^2."""
-    x_tail = np.asarray(x_tail_scores, dtype=float)
-    theta_tail = np.asarray(theta_tail_scores, dtype=float)
-    if x_tail.shape != theta_tail.shape:
-        raise ValueError("tail score vectors must have equal length")
+def tail_statistic(x_tail_scores, theta_tail_scores, eps: float):
+    """Scaled squared tail distance (1/eps^2) sum_j (theta_j - x_j)^2, row-wise.
+
+    A 1-d ``theta_tail_scores`` gives one float; an (n, k) array gives the n
+    per-row values against the length-k ``x_tail_scores``.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return float(np.sum((theta_tail - x_tail) ** 2) / eps**2)
+    x_tail = np.asarray(x_tail_scores, dtype=float)
+    theta_tail = np.asarray(theta_tail_scores, dtype=float)
+    if theta_tail.shape[-1:] != x_tail.shape:
+        raise ValueError("tail score vectors must have equal length")
+    s = np.sum((theta_tail - x_tail) ** 2, axis=-1) / eps**2
+    return float(s) if s.ndim == 0 else s
 
 
 def correction_factor(sample_scores_tail, x_tail, eps: float, d: int) -> float:
     """Monte Carlo plug-in for the truncation correction E[(1-S)^{d/2} 1{S<1}].
 
     ``sample_scores_tail`` holds one row of tail scores (components d+1..J)
-    per sample curve; S is computed row-wise against ``x_tail``.  The result
-    lies in [0, 1].  A value of exactly 0 means every row landed outside the
-    S < 1 region, i.e. eps is too small for this truncation level; a warning
-    is emitted so callers can enlarge eps or d.
+    per sample curve; S is ``tail_statistic`` of each row against ``x_tail``.
+    The result lies in [0, 1].  A value of exactly 0 means every row landed
+    outside the S < 1 region, i.e. eps is too small for this truncation
+    level; a warning is emitted so callers can enlarge eps or d.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     tails = np.atleast_2d(np.asarray(sample_scores_tail, dtype=float))
-    x_tail = np.asarray(x_tail, dtype=float).reshape(-1)
-    if tails.shape[1] != x_tail.size:
-        raise ValueError("x_tail length must match the tail score columns")
-    s = np.sum((tails - x_tail[None, :]) ** 2, axis=1) / eps**2
+    s = tail_statistic(np.asarray(x_tail, dtype=float).reshape(-1), tails, eps)
     base = np.clip(1.0 - s, 0.0, None)
     psi = float(np.mean(np.where(s < 1.0, base ** (0.5 * d), 0.0)))
     if psi == 0.0:
@@ -109,7 +109,6 @@ class DecayReport:
     hyper_ratio: np.ndarray  # d * tail(d) / lambda_d
     super_ratio: np.ndarray  # lambda_{d+1} / lambda_d
     exponential_ratio: np.ndarray  # tail(d) / lambda_d
-    horizon_requested: int
     horizon_effective: int
     window: int
 
@@ -133,7 +132,7 @@ def classify_decay(lambdas, horizon: int) -> DecayReport:
     so a hyper verdict implies the super and exponential criteria also pass.
 
     The effective horizon is capped by the supplied sequence length (tail
-    sums are finite-sequence proxies); the report records both horizons.
+    sums are finite-sequence proxies); the report records the effective one.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 4:
@@ -179,7 +178,6 @@ def classify_decay(lambdas, horizon: int) -> DecayReport:
         hyper_ratio=hyper_ratio,
         super_ratio=super_ratio,
         exponential_ratio=exp_ratio,
-        horizon_requested=horizon,
         horizon_effective=d_max,
         window=window,
     )
@@ -363,17 +361,11 @@ class FactorizationReport:
 
     d: int
     eps: float
-    x_scores: np.ndarray
     f_d_at_x: float
     volume: float
     correction: float
     phi_d: float
     tail_mass_omitted: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.x_scores, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "x_scores", arr)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -417,7 +409,6 @@ def factorize(
     return FactorizationReport(
         d=d,
         eps=eps,
-        x_scores=x_scores[:d],
         f_d_at_x=float(f_d_at_x),
         volume=volume,
         correction=psi,

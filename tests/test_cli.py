@@ -206,6 +206,16 @@ class TestFevSelection:
         header = (out / "scores.csv").read_text().split("\n", 1)[0]
         assert header.count("score_") >= 2  # FEV 0.9 needs at least two components
 
+    def test_d_and_fev_are_exclusive(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--seed", "2", "--out", str(sim), "--n", "30")
+        out = tmp_path / "fpca"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fpca", "--input", str(sim / "sample.csv"), "--d", "3", "--fev", "0.99", "--out", str(out))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_threshold_reported(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         run_cli("simulate", "--seed", "2", "--out", str(sim), "--n", "30")
@@ -312,6 +322,21 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "d=7" in err and "n=5" in err
         assert not (out / "table2.csv").exists()
+
+    def test_d_beyond_process_rank(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = wiener\nJ = 2\nn = 50\nd = 1,2,3\nreps = 1\n")
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(smallball.cli, "run_experiment", no_study)
+        out = tmp_path / "w"
+        code = run_cli("experiment", "--config", str(cfg), "--seed", "5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:")
+        assert "d=3" in err and "rank 2" in err and "n=50" in err
+        assert not out.exists()
 
     def test_density_d_beyond_numerical_rank(self, tmp_path, capsys):
         sim = tmp_path / "sim"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from smallball import (
@@ -47,7 +49,7 @@ class TestKernelProfile:
     @pytest.mark.parametrize("d", range(1, 11))
     def test_radial_normalization(self, family, d):
         spec = KernelSpec(family, d)
-        upper = 1.0 if spec.compact else np.inf
+        upper = 1.0 if spec.family != GAUSSIAN else np.inf
         integral, _ = quad(lambda r: kernel_profile(spec, r) * r ** (d - 1), 0.0, upper)
         assert abs(_sphere_surface(d) * integral - 1.0) < 1e-10
 
@@ -157,6 +159,24 @@ class TestKdeEvaluate:
         est = DensityEstimator(ScoreMatrix(entries), h, KernelSpec(EPANECHNIKOV, 1))
         assert kde_evaluate_many(est, [[1.0]])[0] == 0.0
         assert kde_evaluate_many(est, [[2.2]])[0] > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=80),
+    d=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from([EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN]),
+)
+def test_kde_invariant_under_row_permutation(seed, n, d, family):
+    rng = np.random.default_rng(seed)
+    sample = rng.standard_normal((n, d))
+    points = rng.uniform(-2.5, 2.5, size=(9, d))
+    h = float(rng.uniform(0.3, 1.5))
+    kernel = KernelSpec(family, d)
+    base = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample), h, kernel), points)
+    permuted = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample[rng.permutation(n)]), h, kernel), points)
+    np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=0.0)
 
 
 class TestSurrogateDensityPipeline:

@@ -40,6 +40,10 @@ class TestApe:
     def test_hand_value(self):
         assert ape(0.9, 1.2) == pytest.approx(0.25)
 
+    def test_elementwise_on_arrays(self):
+        got = ape(np.array([1.2, 2.4, 0.9]), np.array([1.2, 1.2, 1.2]))
+        np.testing.assert_array_equal(got, [ape(1.2, 1.2), ape(2.4, 1.2), ape(0.9, 1.2)])
+
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             ape(1.0, 0.0)
@@ -160,6 +164,20 @@ def test_config_rejects_process_without_intensity():
             replications=1,
             base_seed=0,
         )
+
+
+@pytest.mark.parametrize(
+    "process, d_values, rank",
+    [(ProcessSpec(kind="wiener", J=2), (1, 2, 3), 2), (ProcessSpec(kind="sine"), (1, 2), 1)],
+)
+def test_config_rejects_d_above_process_rank(process, d_values, rank):
+    # Score columns past the process rank are rounding noise, so a study at
+    # such d would report an RMSEP of a KDE over noise.
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(process=process, n=50, d_values=d_values, replications=1)
+    message = str(err.value)
+    assert f"d={max(d_values)}" in message and f"rank {rank}" in message and "n=50" in message
+    ExperimentConfig(process=process, n=50, d_values=tuple(range(1, rank + 1)), replications=1)
 
 
 def test_failed_replication_reports_its_index(monkeypatch):

@@ -271,3 +271,34 @@ def test_scaling_law(c):
     assert scaled.rank == r
     np.testing.assert_allclose(scaled.eigenvalues[:r], c**2 * _SCALE_FIT.eigenvalues[:r], rtol=1e-8)
     np.testing.assert_allclose(scaled.eigenfunctions[:3], _SCALE_FIT.eigenfunctions[:3], atol=1e-8)
+
+
+_SHIFT_TARGETS = sample_wiener(7, _SCALE_BASE.grid, 50, SeededRng(16, 0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.floats(min_value=-100.0, max_value=100.0))
+def test_scores_invariant_under_a_constant_shift(c):
+    # Adding the constant curve c to the sample moves only the mean, so the
+    # scores of targets shifted by the same c do not change.
+    grid = _SCALE_BASE.grid
+    shifted = fit_fpca(FunctionalSample(grid, _SCALE_BASE.values + c))
+    moved = FunctionalSample(grid, _SHIFT_TARGETS.values + c)
+    for d in (1, 3):
+        base = scores(_SHIFT_TARGETS, _SCALE_FIT, d).entries
+        np.testing.assert_allclose(scores(moved, shifted, d).entries, base, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(scores(Curve(grid, moved.values[0]), shifted, d), base[0], rtol=0.0, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    p=st.integers(min_value=3, max_value=60),
+    n=st.integers(min_value=2, max_value=40),
+)
+def test_eigenfunctions_orthonormal_on_nonuniform_grid(seed, p, n):
+    rng = np.random.default_rng(seed)
+    grid = Grid(np.cumsum(rng.uniform(0.01, 1.0, size=p)))
+    system = fit_fpca(FunctionalSample(grid, rng.standard_normal((n, p)).cumsum(axis=1)))
+    gram = (system.eigenfunctions * grid.weights) @ system.eigenfunctions.T
+    np.testing.assert_allclose(gram, np.eye(p), rtol=0.0, atol=1e-10)

@@ -182,3 +182,14 @@ class TestCsv:
         path.write_text("0.0,0.5,1.0\n")
         with pytest.raises(CsvFormatError):
             read_sample_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("\n\n", 1), ("0.0,0.5,1.0\n", 2), ("\n\n0.0,0.5,1.0\n", 4), ("0.0,0.5,1.0\n\n", 2)],
+    )
+    def test_missing_row_reports_the_line_it_was_due(self, tmp_path, text, line):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match="grid row plus at least one curve row") as err:
+            read_sample_csv(path)
+        assert err.value.line == line
