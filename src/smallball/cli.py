@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,12 +59,31 @@ def load_config(path) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from None
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _number(key: str, text: str, kind):
+    """A config value as an int or a finite float; the error names the key and the value."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise CliError(f"config value {key} = {text!r} is not {noun}")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _config_number(cfg: dict, key: str, kind, default=None):
+    """cfg[key] as a number, or ``default`` when the key is absent."""
+    return _number(key, cfg[key], kind) if key in cfg else default
+
+
+def _config_numbers(cfg: dict, key: str, kind, default=()) -> list:
+    """The comma list cfg[key] as numbers, or ``default`` when the key is absent."""
+    if key not in cfg:
+        return list(default)
+    values = [_number(key, v.strip(), kind) for v in cfg[key].split(",") if v.strip()]
+    if not values:
+        raise CliError(f"config value {key} is empty")
+    return values
 
 
 def _bandwidth(text: str):
@@ -82,9 +102,9 @@ def process_spec_from_config(cfg: dict) -> ProcessSpec:
     return ProcessSpec(
         kind=cfg.get("process", SINE),
         dist=cfg.get("dist", STD_NORMAL),
-        J=int(cfg.get("J", 50)),
-        lambdas=tuple(_floats(cfg["lambdas"])) if "lambdas" in cfg else (),
-        q=float(cfg.get("q", 2.0)),
+        J=_config_number(cfg, "J", int, 50),
+        lambdas=tuple(_config_numbers(cfg, "lambdas", float)),
+        q=_config_number(cfg, "q", float, 2.0),
     )
 
 
@@ -132,11 +152,11 @@ class OutputWriter:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else (int(cfg["seed"]) if "seed" in cfg else None)
+    seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
     if seed is None:
         raise CliError("simulate needs a seed: pass --seed or put seed= in the config")
     spec = process_spec_from_config(cfg)
-    n = args.n if args.n is not None else int(cfg.get("n", 100))
+    n = args.n if args.n is not None else _config_number(cfg, "n", int, 100)
     sample = sample_process(spec, n, default_grid(spec.kind), SeededRng(seed, 0))
     writer = OutputWriter(args.out, "simulate", seed, cfg)
     writer.write("sample.csv", lambda p: write_sample_csv(sample, p))
@@ -228,15 +248,15 @@ def cmd_experiment(args) -> int:
     if args.config is None:
         raise CliError("experiment needs --config")
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else (int(cfg["seed"]) if "seed" in cfg else None)
+    seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
     if seed is None:
         raise CliError("experiment mode requires an explicit seed: pass --seed or seed= in the config")
     spec = process_spec_from_config(cfg)
     if "n" not in cfg:
         raise CliError("experiment config needs n= (one value or a comma list)")
-    n_values = _ints(cfg["n"])
-    d_values = tuple(_ints(cfg.get("d", "1")))
-    reps = args.replications if args.replications is not None else int(cfg.get("reps", 200))
+    n_values = _config_numbers(cfg, "n", int)
+    d_values = tuple(_config_numbers(cfg, "d", int, (1,)))
+    reps = args.replications if args.replications is not None else _config_number(cfg, "reps", int, 200)
     kernel = args.kernel if args.kernel is not None else cfg.get("kernel", GAUSSIAN)
     bandwidth = args.bandwidth if args.bandwidth is not None else _bandwidth(cfg.get("bandwidth", "normal-scale"))
     # Every n is validated before the first study runs.

@@ -9,6 +9,14 @@ Three profiles ship: the compactly supported Epanechnikov and truncated
 Gaussian families (the ones the theory wants), and the plain Gaussian
 radial kernel, which violates compact support but mirrors common KDE
 software and is the default for table replication.
+
+The evaluator is exact and works on squared scaled distances
+u^2 = ||s_i - x||^2 / h^2, one block of (target, sample) pairs at a time:
+2**20 float64 (8 MiB), or a single target row when n is larger.  At d >= 2
+each block is one GEMM, ||x||^2 + ||s||^2 - 2 x.s on scores centred at the
+sample mean and clamped at 0; at d = 1 it is (x - s)^2 directly, which is
+faster there and keeps the digits a GEMM would cancel.  The profiles take
+u^2 in place, so no square root is taken and compact support reads u^2 <= 1.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ KERNEL_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN)
 # Smoothness order p of the "rate" bandwidth rule: a twice-differentiable density.
 RATE_SMOOTHNESS = 2.0
 
+# Float64 values in one (rows, n) block of squared distances: 8 MiB.
+_BLOCK_ELEMENTS = 2**20
+
 
 def _sphere_surface(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
@@ -50,22 +61,41 @@ class KernelSpec:
             raise ValueError("kernel dimension must be at least 1")
 
 
-def kernel_profile(spec: KernelSpec, r) -> np.ndarray | float:
-    """Evaluate the radial profile at r >= 0 so the d-dim kernel integrates to 1."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("radius must be nonnegative")
+def _profile_of_squared(spec: KernelSpec, u2: np.ndarray) -> np.ndarray:
+    """The radial profile at squared radii u2, written over the float array u2 and returned.
+
+    This is the one place that holds each family's normalising constant and
+    its compact support u2 <= 1.
+    """
     d = spec.dim
     if spec.family == EPANECHNIKOV:
         c = _sphere_surface(d) * 2.0 / (d * (d + 2))
-        out = np.where(r_arr <= 1.0, np.clip(1.0 - r_arr**2, 0.0, None) / c, 0.0)
+        np.subtract(1.0, u2, out=u2)
+        np.maximum(u2, 0.0, out=u2)
+        u2 /= c
     elif spec.family == TRUNCATED_GAUSSIAN:
         # sphere_surface * int_0^1 exp(-u^2/2) u^{d-1} du, the unit-ball mass.
         radial = 2.0 ** (0.5 * d - 1.0) * math.gamma(0.5 * d) * gammainc(0.5 * d, 0.5)
         c = _sphere_surface(d) * radial
-        out = np.where(r_arr <= 1.0, np.exp(-0.5 * r_arr**2) / c, 0.0)
+        inside = u2 <= 1.0
+        np.minimum(u2, 1.0, out=u2)
+        u2 *= -0.5
+        np.exp(u2, out=u2)
+        u2 *= inside
+        u2 /= c
     else:
-        out = (2.0 * math.pi) ** (-0.5 * d) * np.exp(-0.5 * r_arr**2)
+        u2 *= -0.5
+        np.exp(u2, out=u2)
+        u2 *= (2.0 * math.pi) ** (-0.5 * d)
+    return u2
+
+
+def kernel_profile(spec: KernelSpec, r) -> np.ndarray | float:
+    """Evaluate the radial profile at r >= 0 so the d-dim kernel integrates to 1."""
+    r_arr = np.asarray(r, dtype=float)
+    if not np.all(r_arr >= 0):
+        raise ValueError("radius must be nonnegative (and not NaN)")
+    out = _profile_of_squared(spec, np.array(r_arr**2, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -99,15 +129,17 @@ def bandwidth_normal_scale(score_matrix: ScoreMatrix) -> float:
 
 @dataclass(frozen=True)
 class DensityEstimator:
-    """Scores, a positive radial bandwidth, and a kernel of matching dimension."""
+    """Finite scores, a positive finite radial bandwidth, and a kernel of matching dimension."""
 
     scores: ScoreMatrix
     bandwidth: float
     kernel: KernelSpec
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        if not np.isfinite(self.scores.entries).all():
+            raise ValueError("score entries must be finite")
         if self.kernel.dim != self.scores.d:
             raise ValueError(
                 f"kernel dimension {self.kernel.dim} does not match score dimension {self.scores.d}"
@@ -115,23 +147,41 @@ class DensityEstimator:
 
 
 def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
-    """Density estimates at an (m, d) array of points."""
+    """Density estimates at an (m, d) array of finite points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = estimator.scores.d
     if pts.shape[1] != d:
         raise ValueError(f"evaluation points must have dimension {d}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"evaluation point {row} is not finite: {pts[row].tolist()}")
     entries = estimator.scores.entries
-    h = estimator.bandwidth
-    out = np.empty(pts.shape[0])
-    # Chunk the evaluation points so the (chunk, n, d) distance block stays small.
-    chunk = max(1, int(4e7) // max(1, entries.shape[0] * d))
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        dist = np.sqrt(np.sum((entries[None, :, :] - block[:, None, :]) ** 2, axis=2))
-        out[start : start + block.shape[0]] = np.sum(
-            kernel_profile(estimator.kernel, dist / h), axis=1
-        )
-    return out / (entries.shape[0] * h**d)
+    n, m, h = entries.shape[0], pts.shape[0], estimator.bandwidth
+    # Centre on the sample mean and scale by 1/h once, so each squared distance
+    # below is already u^2 = ||x - s||^2 / h^2; centring also keeps the GEMM
+    # form from cancelling the squares of a far-off mean.
+    centre = entries.mean(axis=0)
+    sample = (entries - centre) / h
+    targets = (pts - centre) / h
+    if d > 1:
+        # ||x||^2 + ||s||^2 - 2 x.s as one GEMM: [x, 1, ||x||^2] @ [-2 s, ||s||^2, 1]^T.
+        left = np.column_stack([targets, np.ones(m), np.einsum("ij,ij->i", targets, targets)])
+        right = np.vstack([-2.0 * sample.T, np.einsum("ij,ij->i", sample, sample), np.ones(n)])
+    out = np.empty(m)
+    rows = max(1, min(m, _BLOCK_ELEMENTS // n))
+    block = np.empty((rows, n))
+    for start in range(0, m, rows):
+        stop = min(m, start + rows)
+        u2 = block[: stop - start]
+        if d == 1:
+            np.subtract(targets[start:stop], sample[:, 0], out=u2)
+            np.square(u2, out=u2)
+        else:
+            np.matmul(left[start:stop], right, out=u2)
+            np.maximum(u2, 0.0, out=u2)  # rounding can leave a tiny negative
+        out[start:stop] = _profile_of_squared(estimator.kernel, u2).sum(axis=1)
+    return out / (n * h**d)
 
 
 def resolve_bandwidth(score_matrix: ScoreMatrix, rule) -> float:

@@ -39,6 +39,37 @@ class TestConfigParsing:
         with pytest.raises(CliError, match="line 2"):
             parse_config_text("a = 1\nnot a pair\n")
 
+    @pytest.mark.parametrize(
+        "command, text, key, value",
+        [
+            ("simulate", "process = wiener\nJ = abc\n", "J", "abc"),
+            ("simulate", "q = nan\n", "q", "nan"),
+            ("simulate", "lambdas = 1.0, 0.5, x\n", "lambdas", "x"),
+            ("simulate", "n = 10.5\n", "n", "10.5"),
+            ("simulate", "seed = 7.5\n", "seed", "7.5"),
+            ("experiment", "n = 50\nreps = x\n", "reps", "x"),
+            ("experiment", "n = 50, 1e2\n", "n", "1e2"),
+            ("experiment", "n = 50\nd = 1, two\n", "d", "two"),
+        ],
+        ids=["J", "q", "lambdas", "n", "seed", "reps", "n-list", "d-list"],
+    )
+    def test_bad_number_names_key_and_value(self, tmp_path, capsys, command, text, key, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        seed = [] if key == "seed" else ["--seed", "1"]
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), *seed, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: config value {key} = {value!r} is not " + (
+            "a finite number\n" if key in ("q", "lambdas") else "an integer\n"
+        )
+        assert not out.exists()
+
+    def test_empty_list_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = ,\n")
+        assert run_cli("experiment", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: config value n is empty\n"
+
 
 class TestSimulate:
     def test_writes_sample_and_manifest(self, tmp_path):
@@ -177,6 +208,20 @@ class TestExperimentCommand:
             manifest = json.loads((out / "manifest.json").read_text())
             assert set(manifest["outputs"]) == {"table1.csv", "ape.csv"}
         assert blobs["1"] == blobs["3"]
+
+    def test_wiener_thread_invariance(self, tmp_path):
+        # Wiener at d = 2, 3 evaluates the KDE through its GEMM path, which the sine study never reaches.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = wiener\nn = 60\nd = 1,2,3\nreps = 4\n")
+        blobs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            code = run_cli(
+                "experiment", "--config", str(cfg), "--seed", "13", "--out", str(out), "--threads", threads
+            )
+            assert code == 0
+            blobs[threads] = ((out / "table2.csv").read_bytes(), (out / "ape.csv").read_bytes())
+        assert blobs["1"] == blobs["2"]
 
     def test_wiener_writes_table2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

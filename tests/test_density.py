@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from smallball import (
     EPANECHNIKOV,
@@ -44,6 +46,21 @@ class TestKernelProfile:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             kernel_profile(KernelSpec(EPANECHNIKOV, 1), -0.1)
+
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
+    def test_nan_radius_rejected(self, family):
+        with pytest.raises(ValueError, match="radius"):
+            kernel_profile(KernelSpec(family, 2), math.nan)
+        with pytest.raises(ValueError, match="radius"):
+            kernel_profile(KernelSpec(family, 2), np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
+    def test_matches_closed_form(self, family):
+        r = np.array([0.0, 0.3, 0.999, 1.0, 1.5, np.inf])
+        for d in (1, 2, 3):
+            np.testing.assert_allclose(
+                kernel_profile(KernelSpec(family, d), r), _oracle_profile(family, d, r), rtol=1e-15, atol=0.0
+            )
 
     @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
     @pytest.mark.parametrize("d", range(1, 11))
@@ -119,6 +136,17 @@ class TestKdeEvaluate:
         pts = rng.uniform(-4, 4, size=(200, 2))
         assert np.all(kde_evaluate_many(est, pts) >= 0.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            DensityEstimator(ScoreMatrix(np.zeros((3, 1))), h, KernelSpec(GAUSSIAN, 1))
+
+    def test_non_finite_scores_rejected(self):
+        entries = np.zeros((4, 2))
+        entries[2, 1] = math.nan
+        with pytest.raises(ValueError, match="score entries must be finite"):
+            DensityEstimator(ScoreMatrix(entries), 1.0, KernelSpec(EPANECHNIKOV, 2))
+
     def test_dimension_mismatch(self):
         est = DensityEstimator(ScoreMatrix(np.zeros((3, 2))), 1.0, KernelSpec(EPANECHNIKOV, 2))
         with pytest.raises(ValueError):
@@ -153,6 +181,13 @@ class TestKdeEvaluate:
         integral = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
         assert abs(integral - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
+    def test_non_finite_point_rejected(self, family):
+        est = DensityEstimator(ScoreMatrix(np.zeros((3, 2))), 1.0, KernelSpec(family, 2))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"evaluation point 2 is not finite"):
+                kde_evaluate_many(est, [[0.0, 0.0], [0.5, 0.1], [0.0, bad], [bad, 0.0]])
+
     def test_zero_outside_union_of_balls(self):
         entries = np.array([[0.0], [2.0]])
         h = 0.3
@@ -177,6 +212,100 @@ def test_kde_invariant_under_row_permutation(seed, n, d, family):
     base = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample), h, kernel), points)
     permuted = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample[rng.permutation(n)]), h, kernel), points)
     np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=0.0)
+
+
+def _oracle_profile(family, d, r):
+    """The radial profiles in closed form, written out apart from the package."""
+    surface = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    if family == EPANECHNIKOV:
+        c = surface * 2.0 / (d * (d + 2))
+        return np.where(r <= 1.0, np.clip(1.0 - r**2, 0.0, None) / c, 0.0)
+    if family == TRUNCATED_GAUSSIAN:
+        c = surface * 2.0 ** (0.5 * d - 1.0) * math.gamma(0.5 * d) * gammainc(0.5 * d, 0.5)
+        return np.where(r <= 1.0, np.exp(-0.5 * r**2) / c, 0.0)
+    return (2.0 * math.pi) ** (-0.5 * d) * np.exp(-0.5 * r**2)
+
+
+def _oracle_kde(entries, h, family, points):
+    """Brute-force KDE over the (m, n, d) difference array: the evaluator the GEMM form replaced."""
+    d = entries.shape[1]
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], 64):
+        block = points[start : start + 64]
+        dist = np.sqrt(np.sum((entries[None, :, :] - block[:, None, :]) ** 2, axis=2))
+        out[start : start + block.shape[0]] = np.sum(_oracle_profile(family, d, dist / h), axis=1)
+    return out / (entries.shape[0] * h**d)
+
+
+def _assert_close_to(values, reference, rtol):
+    # A term cut near the edge of a compact support carries absolute rounding
+    # (from 1 - u^2 or the support test), so the relative bound gets an
+    # absolute floor of 1e-12 of the largest estimate.
+    np.testing.assert_allclose(values, reference, rtol=rtol, atol=1e-12 * np.max(reference))
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shift, scales", [(0.0, (1.0, 1.0, 1.0)), (5.0, (1.0, 0.1, 0.01))], ids=["centred", "shifted-scaled"]
+    )
+    def test_matches_oracle(self, family, d, shift, scales):
+        rng = np.random.default_rng(7 + d)
+        axes = np.array(scales[:d])
+        entries = shift + axes * rng.standard_normal((400, d))
+        points = shift + 1.3 * axes * rng.standard_normal((120, d))
+        h = 0.35 * float(np.sqrt(np.mean(axes**2)))
+        est = DensityEstimator(ScoreMatrix(entries), h, KernelSpec(family, d))
+        oracle = _oracle_kde(entries, h, family, points)
+        values = kde_evaluate_many(est, points)
+        _assert_close_to(values, oracle, rtol=1e-12)
+        assert np.array_equal(values == 0.0, oracle == 0.0)
+
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, GAUSSIAN])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocks_cover_every_point(self, family, d):
+        # 2**20 // 4000 = 262 points per block: 700 points end in a partial block.
+        rng = np.random.default_rng(11)
+        entries = rng.standard_normal((4000, d))
+        points = rng.uniform(-3.0, 3.0, size=(700, d))
+        est = DensityEstimator(ScoreMatrix(entries), 0.4, KernelSpec(family, d))
+        _assert_close_to(kde_evaluate_many(est, points), _oracle_kde(entries, 0.4, family, points), rtol=1e-12)
+
+    def test_block_memory_is_bounded(self):
+        # The (m, n, d) difference array alone would take 100 * 50 000 * 3 * 8 bytes = 114 MiB.
+        rng = np.random.default_rng(12)
+        est = DensityEstimator(ScoreMatrix(rng.standard_normal((50_000, 3))), 0.3, KernelSpec(GAUSSIAN, 3))
+        points = rng.standard_normal((100, 3))
+        tracemalloc.start()
+        try:
+            kde_evaluate_many(est, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=80),
+    d=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from([EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN]),
+    offset=st.lists(st.floats(min_value=-1000.0, max_value=1000.0), min_size=3, max_size=3),
+)
+def test_kde_invariant_under_translation(seed, n, d, family, offset):
+    # Offsets up to 1000 bandwidths: the GEMM form ||x||^2 + ||s||^2 - 2 x.s
+    # keeps the law only because the evaluator centres on the sample mean.
+    rng = np.random.default_rng(seed)
+    sample = rng.standard_normal((n, d))
+    points = rng.uniform(-2.5, 2.5, size=(9, d))
+    h = float(rng.uniform(0.3, 1.5))
+    kernel = KernelSpec(family, d)
+    v = np.array(offset[:d])
+    base = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample), h, kernel), points)
+    moved = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample + v), h, kernel), points + v)
+    _assert_close_to(moved, base, rtol=1e-10)
 
 
 class TestSurrogateDensityPipeline:
