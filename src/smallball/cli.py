@@ -170,6 +170,7 @@ def cmd_fpca(args) -> int:
     if args.fev is not None:
         d = select_dimension_fev(system.eigenvalues, args.fev)
     elif args.d is not None:
+        system.require_rank(args.d, sample.n)
         d = args.d
     else:
         d = system.rank

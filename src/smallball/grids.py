@@ -151,37 +151,75 @@ def norm(f: Curve) -> float:
     return float(np.sqrt(inner_product(f, f)))
 
 
+def _parse_rows(lines, usecols=None) -> np.ndarray:
+    """The one value parser: comma-separated float64 cells in numpy's C reader, as a 2-d array.
+
+    Each cell is converted by ``PyOS_string_to_double``, which rounds
+    correctly, so a value reads back bit-identical to Python's ``float``.
+    ``lines`` must hold at least one nonblank line: given none, loadtxt warns.
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+
+
+def _unparseable(lineno: int, line: str) -> CsvFormatError:
+    """The error for a line the parser refuses, naming its first bad cell and 1-based column."""
+    for col, cell in enumerate(line.strip().split(",")):
+        try:
+            _parse_rows([line], usecols=col)
+        except ValueError:
+            break
+    return CsvFormatError(lineno, f"cannot parse value {cell!r} in column {col + 1}")
+
+
+def _first_bad_line(lines: list[str]) -> CsvFormatError:
+    """The error for the first line that makes a sample CSV unreadable, found line by line.
+
+    Each nonblank line is parsed alone by the same parser.  The checks run in
+    the order a single pass over the file meets them: an unparseable cell or a
+    wrong column count, then a missing curve row (at the line it was due),
+    then the first line holding a nan or inf.
+    """
+    width = nonfinite = None
+    rows = last = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = _parse_rows([line])[0]
+        except ValueError:
+            return _unparseable(lineno, line)
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            return CsvFormatError(lineno, f"expected {width} columns, found {row.size}")
+        if nonfinite is None and not np.isfinite(row).all():
+            nonfinite = lineno
+        rows, last = rows + 1, lineno
+    if rows < 2:
+        return CsvFormatError(last + 1, "need a grid row plus at least one curve row")
+    return CsvFormatError(nonfinite, "values must be finite (found nan or inf)")
+
+
 def read_sample_csv(path) -> FunctionalSample:
     """Read a sample from CSV: first row grid abscissae, one curve per row.
 
-    UTF-8, comma separated, '.' decimal point.  Malformed content raises
-    CsvFormatError with the 1-based line number.
+    UTF-8, comma separated, '.' decimal point; blank and whitespace-only lines
+    are skipped.  All cells are parsed in one numpy C call.  Malformed
+    content (a cell that does not parse, a row of the wrong width, no curve
+    row, a nan or inf) raises CsvFormatError with the 1-based line number.
     """
-    rows: list[list[float]] = []
-    linenos: list[int] = []
+    # The lines are kept, not re-read, so that the error scan also works on a pipe.
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            linenos.append(lineno)
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise CsvFormatError(lineno, f"cannot parse value: {exc}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise CsvFormatError(
-                    lineno,
-                    f"expected {len(rows[0])} columns, found {len(rows[-1])}",
-                )
-    if len(rows) < 2:
-        # The missing row was due on the line after the last nonblank one.
-        raise CsvFormatError(linenos[-1] + 1 if linenos else 1, "need a grid row plus at least one curve row")
-    table = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise CsvFormatError(linenos[bad[0]], "values must be finite (found nan or inf)")
+        lines = fh.readlines()
+    rows = [line for line in lines if line.strip()]
+    table = None
+    if len(rows) >= 2:
+        try:
+            table = _parse_rows(rows)
+        except ValueError:
+            pass
+    if table is None or not np.isfinite(table).all():
+        raise _first_bad_line(lines)
     return FunctionalSample(Grid(table[0]), table[1:])
 
 

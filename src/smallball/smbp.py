@@ -29,6 +29,12 @@ class SmallBallWarning(UserWarning):
     """Signals a degenerate but well-defined small-ball computation."""
 
 
+def _require_eps(eps: float, zero_ok: bool = False) -> None:
+    """Refuse a radius that is nan, infinite, negative, or zero unless ``zero_ok``."""
+    if not (math.isfinite(eps) and (eps >= 0 if zero_ok else eps > 0)):
+        raise ValueError(f"eps must be finite and {'nonnegative' if zero_ok else 'positive'}, got {eps}")
+
+
 def ball_volume(d: int, eps: float) -> float:
     """Volume of the d-dimensional Euclidean ball of radius eps.
 
@@ -36,8 +42,7 @@ def ball_volume(d: int, eps: float) -> float:
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    if eps <= 0:
-        raise ValueError("radius eps must be positive")
+    _require_eps(eps)
     return math.exp(d * math.log(eps) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
@@ -47,8 +52,7 @@ def tail_statistic(x_tail_scores, theta_tail_scores, eps: float):
     A 1-d ``theta_tail_scores`` gives one float; an (n, k) array gives the n
     per-row values against the length-k ``x_tail_scores``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     x_tail = np.asarray(x_tail_scores, dtype=float)
     theta_tail = np.asarray(theta_tail_scores, dtype=float)
     if theta_tail.shape[-1:] != x_tail.shape:
@@ -234,8 +238,7 @@ def select_dimension_hyper(lambdas, eps: float, delta1: float):
     """
     if not 0.0 < delta1 < 1.0:
         raise ValueError("delta1 must lie in (0, 1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 2 or np.any(lam <= 0):
         raise ValueError("need a 1-d strictly positive sequence of at least 2 eigenvalues")
@@ -276,8 +279,7 @@ def volume_factor(eps: float, d: int, decay: DecayClass, lambda_d: float | None 
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     if decay not in (DecayClass.SUPER, DecayClass.EXPONENTIAL):
         raise ValueError(
             f"volume_factor applies to super/exponential decay only; for {decay.value} "
@@ -348,8 +350,7 @@ def empirical_smbp(sample: FunctionalSample, x: Curve, eps: float) -> float:
     """Monte Carlo small-ball probability: fraction of curves within eps of x."""
     if not sample.grid.matches(x.grid):
         raise GridMismatchError("sample and center live on different grids")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _require_eps(eps, zero_ok=True)
     diffs = sample.values - x.values[None, :]
     dist = np.sqrt(np.sum(sample.grid.weights[None, :] * diffs**2, axis=1))
     return float(np.mean(dist <= eps))

@@ -102,12 +102,22 @@ class TestFpcaCommand:
         out = tmp_path / "sim"
         run_cli("simulate", "--seed", "4", "--out", str(out), "--n", "40")  # sine by default
         fp = tmp_path / "fpca"
-        assert run_cli("fpca", "--input", str(out / "sample.csv"), "--d", "3", "--out", str(fp)) == 0
+        assert run_cli("fpca", "--input", str(out / "sample.csv"), "--d", "1", "--out", str(fp)) == 0
         rows = (fp / "eigensystem.csv").read_text().strip().split("\n")
         lambdas = [float(r.split(",")[0]) for r in rows[1:]]
         assert lambdas[1] < 1e-10 * lambdas[0]
-        scores = np.loadtxt(fp / "scores.csv", delimiter=",", skiprows=1)
-        assert scores.shape == (40, 3)
+        scores = np.loadtxt(fp / "scores.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert scores.shape == (40, 1)
+
+    def test_d_beyond_numerical_rank(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        run_cli("simulate", "--seed", "4", "--out", str(out), "--n", "40")  # sine: rank one
+        fp = tmp_path / "fpca"
+        assert run_cli("fpca", "--input", str(out / "sample.csv"), "--d", "3", "--out", str(fp)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "d=3" in err and "rank 1" in err and "n=40" in err
+        assert not (fp / "scores.csv").exists()
 
     def test_default_d_is_numerical_rank(self, tmp_path):
         out = tmp_path / "sim"
@@ -178,6 +188,21 @@ class TestSmbpCommand:
         assert [r["eps"] for r in reports] == [0.5, 0.3]
         for r in reports:
             assert r["phi_d"] == pytest.approx(r["f_d"] * r["volume"] * r["correction"])
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_refused(self, tmp_path, capsys, eps):
+        path, lines = write_wiener_sample(tmp_path, 40, 21)
+        target = tmp_path / "target.csv"
+        target.write_text(lines[0] + "\n" + lines[1] + "\n")
+        out = tmp_path / "smbp"
+        code = run_cli(
+            "smbp", "--input", str(path), "--target", str(target), "--eps", "0.5", eps,
+            "--d", "1", "--J", "6", "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert "eps must be finite" in err
+        assert not (out / "factorization.json").exists()
 
 
 class TestExperimentCommand:

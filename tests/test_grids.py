@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,69 @@ from smallball import (
     read_sample_csv,
     write_sample_csv,
 )
+
+
+def _oracle_read_sample_csv(path) -> FunctionalSample:
+    """The reader as it was before numpy parsed the cells: Python float() per cell, line by line."""
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            linenos.append(lineno)
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise CsvFormatError(lineno, f"cannot parse value: {exc}") from None
+            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+                raise CsvFormatError(
+                    lineno,
+                    f"expected {len(rows[0])} columns, found {len(rows[-1])}",
+                )
+    if len(rows) < 2:
+        raise CsvFormatError(linenos[-1] + 1 if linenos else 1, "need a grid row plus at least one curve row")
+    table = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise CsvFormatError(linenos[bad[0]], "values must be finite (found nan or inf)")
+    return FunctionalSample(Grid(table[0]), table[1:])
+
+
+def _error_line(reader, path):
+    with pytest.raises(CsvFormatError) as err:
+        reader(path)
+    return err.value.line
+
+
+# Values whose text form is hard to round-trip: signed zero, subnormals, the
+# extremes of the exponent range and 17 significant digits.
+_AWKWARD = [-0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300, 0.1 + 0.2, 1.0000000000000002, 123456789.12345679]
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_AWKWARD))
+_BLANKS = ["", "   ", "\t", " \t "]
+
+
+@st.composite
+def _samples(draw, max_rows=4):
+    """A small sample with awkward values; grid points stay within 1e300 so their spacings are finite."""
+    grid = sorted(draw(st.lists(_finite.filter(lambda v: abs(v) <= 1e300), min_size=2, max_size=5, unique=True)))
+    n = draw(st.integers(min_value=1, max_value=max_rows))
+    values = draw(st.lists(st.lists(_finite, min_size=len(grid), max_size=len(grid)), min_size=n, max_size=n))
+    return FunctionalSample(Grid(np.array(grid)), np.array(values))
+
+
+def _with_blanks(draw, lines):
+    """Insert blank and whitespace-only lines at drawn positions."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(_BLANKS)))
+    return lines
+
+
+def _write_lines(path, lines, newline):
+    path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
 
 
 class TestGrid:
@@ -193,3 +257,79 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="grid row plus at least one curve row") as err:
             read_sample_csv(path)
         assert err.value.line == line
+
+    def test_bad_cell_names_value_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.0,0.5,1.0\n1.0,2.0,3.0\n\n1.0,x,3.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_sample_csv(path)
+        assert str(err.value) == "line 4: cannot parse value 'x' in column 2"
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_cells_float_accepts_but_the_parser_refuses(self, tmp_path, cell):
+        # Python's float() reads digit-group underscores and non-ASCII digits; the C parser does not.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,0.5,1.0\n1.0,2.0,3.0\n2.0,{cell},3.0\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="cannot parse value") as err:
+            read_sample_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_file_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError) as err:
+                read_sample_csv(path)
+        assert err.value.line == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), sample=_samples(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_reads_written_samples_bit_identical_to_float(tmp_path_factory, data, sample, newline):
+    path = tmp_path_factory.mktemp("csv") / "sample.csv"
+    write_sample_csv(sample, path)
+    lines = _with_blanks(data.draw, path.read_text(encoding="utf-8").splitlines())
+    _write_lines(path, lines, newline)
+    back, oracle = read_sample_csv(path), _oracle_read_sample_csv(path)
+    assert back.grid.points.tobytes() == oracle.grid.points.tobytes() == sample.grid.points.tobytes()
+    assert back.values.tobytes() == oracle.values.tobytes() == sample.values.tobytes()
+
+
+_FAULTS = ["bad cell", "empty cell", "short row", "long row", "trailing comma", "nan", "inf", "-inf"]
+
+
+def _plant(fault: str, line: str, col: int) -> str:
+    """``line`` with one fault; a cell fault replaces the cell in column ``col`` (0-based)."""
+    cells = line.split(",")
+    if fault == "short row":
+        return ",".join(cells[:-1])
+    if fault == "long row":
+        return line + ",1.0"
+    if fault == "trailing comma":
+        return line + ","
+    cells[col % len(cells)] = {"bad cell": "1.0.0", "empty cell": ""}.get(fault, fault)
+    return ",".join(cells)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), sample=_samples(), fault=st.sampled_from(_FAULTS))
+def test_planted_fault_reports_the_oracle_line(tmp_path_factory, data, sample, fault):
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    write_sample_csv(sample, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    target = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    lines[target] = _plant(fault, lines[target], data.draw(st.integers(min_value=0, max_value=4)))
+    _write_lines(path, _with_blanks(data.draw, lines), data.draw(st.sampled_from(["\n", "\r\n"])))
+    assert _error_line(read_sample_csv, path) == _error_line(_oracle_read_sample_csv, path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), sample=_samples(max_rows=1), shape=st.sampled_from(["no curve row", "empty", "blank only"]))
+def test_missing_rows_report_the_oracle_line(tmp_path_factory, data, sample, shape):
+    path = tmp_path_factory.mktemp("csv") / "short.csv"
+    write_sample_csv(sample, path)
+    lines = {"no curve row": path.read_text(encoding="utf-8").splitlines()[:1], "empty": [], "blank only": [""]}[shape]
+    _write_lines(path, _with_blanks(data.draw, lines), "\n")
+    assert _error_line(read_sample_csv, path) == _error_line(_oracle_read_sample_csv, path)

@@ -348,6 +348,24 @@ class TestEmpiricalSmbp:
         assert empirical_smbp(sample, x, float(np.median(dist))) == 0.5
 
 
+
+_EPS_CALLS = {
+    "ball_volume": lambda eps, sample: ball_volume(2, eps),
+    "tail_statistic": lambda eps, sample: tail_statistic([0.0], [0.1], eps),
+    "empirical_smbp": lambda eps, sample: empirical_smbp(sample, sample.curve(0), eps),
+    "select_dimension_hyper": lambda eps, sample: select_dimension_hyper(np.exp(-np.arange(1.0, 9.0) ** 2), eps, 0.5),
+    "volume_factor": lambda eps, sample: volume_factor(eps, 2, DecayClass.SUPER),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(_EPS_CALLS))
+def test_non_finite_eps_refused(unit_grid, name, eps):
+    # nan passes every `eps <= 0` test, and inf gives a meaningless volume or a probability of 1.
+    sample = FunctionalSample(unit_grid, np.zeros((3, unit_grid.size)))
+    with pytest.raises(ValueError, match="eps must be finite"):
+        _EPS_CALLS[name](eps, sample)
+
 class TestFactorize:
     def test_finite_dimensional_tail_drops_out(self, sine_grid):
         # Rank-one process: tail scores vanish, so phi_d = f_d * V_d exactly.
