@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +85,9 @@ class ExperimentConfig:
         d_values = tuple(int(d) for d in self.d_values)
         if not d_values or any(d < 1 for d in d_values):
             raise ValueError("d_values must be positive integers")
+        repeated = sorted({d for d in d_values if d_values.count(d) > 1})
+        if repeated:
+            raise ValueError(f"d_values repeats d={', '.join(map(str, repeated))}; list each d once")
         # A centred sample of n curves has rank at most n - 1, and the sine
         # process has rank 1, the truncated Wiener process rank J.
         rank = min(1 if self.process.kind == SINE else self.process.J, self.n - 1)
@@ -195,6 +197,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         raise ValueError(f"threads must be at least 1, got {threads}")
     indices = range(config.replications)
     if threads > 1:
+        # Imported here: concurrent.futures loads logging, which a serial run never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, indices))
     else:

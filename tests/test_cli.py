@@ -408,6 +408,21 @@ class TestRefusedInput:
         assert "d=3" in err and "rank 2" in err and "n=50" in err
         assert not out.exists()
 
+    def test_repeated_d(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = wiener\nJ = 20\nn = 30\nd = 2, 1, 2\nreps = 1\n")
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(smallball.cli, "run_experiment", no_study)
+        out = tmp_path / "w"
+        code = run_cli("experiment", "--config", str(cfg), "--seed", "5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "d=2" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_density_d_beyond_numerical_rank(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         run_cli("simulate", "--seed", "4", "--out", str(sim), "--n", "5")  # sine: rank one

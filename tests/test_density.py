@@ -27,7 +27,7 @@ from smallball import (
     sample_wiener,
     true_intensity,
 )
-from smallball.density import _sphere_surface
+from smallball.density import _sphere_surface, _truncated_gaussian_mass
 from smallball.processes import sine_basis_function, target_curves
 
 
@@ -73,6 +73,25 @@ class TestKernelProfile:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec("boxcar", 1)
+
+
+class TestTruncatedGaussianMass:
+    """The radial mass int_0^1 exp(-u^2/2) u^(d-1) du behind the truncated-Gaussian constant."""
+
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_matches_quadrature(self, d):
+        integral, _ = quad(lambda u: math.exp(-0.5 * u * u) * u ** (d - 1), 0.0, 1.0, epsabs=0.0, epsrel=2e-14)
+        assert _truncated_gaussian_mass(d) == pytest.approx(integral, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_matches_incomplete_gamma(self, d):
+        assert _truncated_gaussian_mass(d) == pytest.approx(_gamma_form_mass(d), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_bit_equal_to_incomplete_gamma_at_small_d(self, d):
+        # Truncated-Gaussian densities at these d keep the bytes they had
+        # when the constant came from the incomplete gamma function.
+        assert _truncated_gaussian_mass(d) == _gamma_form_mass(d)
 
 
 class TestBandwidthRules:
@@ -214,6 +233,11 @@ def test_kde_invariant_under_row_permutation(seed, n, d, family):
     np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=0.0)
 
 
+def _gamma_form_mass(d):
+    """int_0^1 exp(-u^2/2) u^(d-1) du as 2^(d/2-1) Gamma(d/2) P(d/2, 1/2)."""
+    return 2.0 ** (0.5 * d - 1.0) * math.gamma(0.5 * d) * gammainc(0.5 * d, 0.5)
+
+
 def _oracle_profile(family, d, r):
     """The radial profiles in closed form, written out apart from the package."""
     surface = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
@@ -221,7 +245,7 @@ def _oracle_profile(family, d, r):
         c = surface * 2.0 / (d * (d + 2))
         return np.where(r <= 1.0, np.clip(1.0 - r**2, 0.0, None) / c, 0.0)
     if family == TRUNCATED_GAUSSIAN:
-        c = surface * 2.0 ** (0.5 * d - 1.0) * math.gamma(0.5 * d) * gammainc(0.5 * d, 0.5)
+        c = surface * _gamma_form_mass(d)
         return np.where(r <= 1.0, np.exp(-0.5 * r**2) / c, 0.0)
     return (2.0 * math.pi) ** (-0.5 * d) * np.exp(-0.5 * r**2)
 

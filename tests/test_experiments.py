@@ -180,6 +180,16 @@ def test_config_rejects_d_above_process_rank(process, d_values, rank):
     ExperimentConfig(process=process, n=50, d_values=tuple(range(1, rank + 1)), replications=1)
 
 
+def test_config_rejects_repeated_d():
+    # A repeated d would write its table row twice, run its KDE twice per
+    # replication and hash to a different config_sha than the same study.
+    with pytest.raises(ValueError, match=r"repeats d=2;"):
+        ExperimentConfig(process=ProcessSpec(kind="wiener", J=5), n=50, d_values=(2, 1, 2), replications=1)
+    with pytest.raises(ValueError, match=r"repeats d=1, 3;"):
+        ExperimentConfig(process=ProcessSpec(kind="wiener", J=5), n=50, d_values=(3, 1, 3, 1), replications=1)
+    ExperimentConfig(process=ProcessSpec(kind="wiener", J=5), n=50, d_values=(2, 1), replications=1)
+
+
 def test_failed_replication_reports_its_index(monkeypatch):
     import smallball.experiments as exp
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -46,3 +47,22 @@ def test_all_lists_importable_names_only():
     assert isinstance(names, list) and len(names) == len(set(names))
     assert all(hasattr(smallball, name) for name in names)
     assert not [name for name in names if isinstance(getattr(smallball, name), types.ModuleType)]
+
+
+def test_cli_starts_without_scipy_or_a_thread_pool():
+    # Every CLI command runs in a fresh process, so each module imported at
+    # start-up is paid on every call. scipy is only a test dependency, and the
+    # thread pool serves only studies run with more than one thread.
+    src = str(Path(smallball.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import smallball, smallball.cli\n"
+        "smallball.cli.build_parser()\n"
+        "print(*sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    loaded = done.stdout.split()
+    assert "smallball.cli" in loaded
+    unwanted = [m for m in loaded if m == "scipy" or m.startswith("scipy.") or m.startswith("concurrent.futures")]
+    assert not unwanted, f"modules loaded at CLI start-up: {unwanted}"
