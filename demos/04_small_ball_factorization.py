@@ -9,18 +9,16 @@ radius.
 import numpy as np
 
 from smallball import (
+    GAUSSIAN,
     Curve,
-    DensityEstimator,
+    FunctionalSample,
     Grid,
-    KernelSpec,
     SeededRng,
-    bandwidth_normal_scale,
     empirical_smbp,
+    estimate_surrogate_density,
     factorize,
     fit_fpca,
-    kde_evaluate_many,
     sample_gaussian_kl,
-    scores,
     select_dimension_hyper,
 )
 
@@ -30,13 +28,12 @@ print("sampling 100000 paths of a Gaussian process with lambda_j = exp(-j^2) ...
 sample = sample_gaussian_kl(100_000, grid, lam, 8, SeededRng(4, 0))
 system = fit_fpca(sample)
 x = Curve(grid, np.zeros(grid.size))
+center = FunctionalSample(grid, x.values[None, :])
 
 print("\n  eps    d   f_d(0)     psi      phi_d     MC oracle   rel err")
 for eps in (0.8, 0.6, 0.5, 0.4, 0.3):
     d, _ = select_dimension_hyper(lam, eps, 0.5)
-    sm = scores(sample, system, d)
-    est = DensityEstimator(sm, bandwidth_normal_scale(sm), KernelSpec("gaussian-radial", d))
-    f_d = float(kde_evaluate_many(est, scores(x, system, d)[None, :])[0])
+    f_d = float(estimate_surrogate_density(sample, system, center, d, GAUSSIAN)[1][0])
     rep = factorize(sample, x, eps, d, system, f_d, 8)
     oracle = empirical_smbp(sample, x, eps)
     print(f"  {eps:4.2f}   {d}   {f_d:.4f}   {rep.correction:.4f}   {rep.phi_d:.5f}   "
@@ -50,7 +47,5 @@ the asymptotic regime of the larger d kicks in at smaller radii.""")
 
 print("report for eps = 0.4 as JSON:")
 d, _ = select_dimension_hyper(lam, 0.4, 0.5)
-sm = scores(sample, system, d)
-est = DensityEstimator(sm, bandwidth_normal_scale(sm), KernelSpec("gaussian-radial", d))
-f_d = float(kde_evaluate_many(est, scores(x, system, d)[None, :])[0])
+f_d = float(estimate_surrogate_density(sample, system, center, d, GAUSSIAN)[1][0])
 print(factorize(sample, x, 0.4, d, system, f_d, 8).to_json())

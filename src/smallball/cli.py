@@ -18,10 +18,12 @@ import tempfile
 import time
 
 from . import __version__
-from .density import EPANECHNIKOV, GAUSSIAN, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
+# kde_evaluate_many and resolve_bandwidth are unused here; perfbench/spans.py patches them at this site.
+from .density import EPANECHNIKOV, GAUSSIAN, kde_evaluate_many, resolve_bandwidth
 from .experiments import (
     ExperimentConfig,
     ReplicationError,
+    estimate_surrogate_density,
     run_experiment,
     write_ape_csv,
     write_table1_csv,
@@ -170,12 +172,12 @@ def cmd_fpca(args) -> int:
     if args.fev is not None:
         d = select_dimension_fev(system.eigenvalues, args.fev)
     elif args.d is not None:
-        system.require_rank(args.d, sample.n)
         d = args.d
     else:
         d = system.rank
         if d == 0:
             raise CliError(f"the {sample.n} curves are identical (all-zero spectrum); no scores to export")
+    system.require_rank(d, sample.n)
     score_matrix = scores(sample, system, d)
     writer = OutputWriter(args.out, "fpca", None, {"input": args.input, "d": d})
 
@@ -192,21 +194,12 @@ def cmd_fpca(args) -> int:
     return 0
 
 
-def _density_at(sample: FunctionalSample, targets: FunctionalSample, args):
-    """FPCA of the sample, then its d-dim score KDE at the targets: (system, target scores, values)."""
-    system = fit_fpca(sample)
-    system.require_rank(args.d, sample.n)
-    sample_scores = scores(sample, system, args.d)
-    h = resolve_bandwidth(sample_scores, args.bandwidth)
-    estimator = DensityEstimator(sample_scores, h, KernelSpec(args.kernel, args.d))
-    target_scores = scores(targets, system, args.d).entries
-    return system, target_scores, kde_evaluate_many(estimator, target_scores)
-
-
 def cmd_density(args) -> int:
     sample = read_sample_csv(args.input)
     targets = read_sample_csv(args.targets)
-    _, target_scores, values = _density_at(sample, targets, args)
+    target_scores, values = estimate_surrogate_density(
+        sample, fit_fpca(sample), targets, args.d, args.kernel, args.bandwidth
+    )
     writer = OutputWriter(
         args.out,
         "density",
@@ -224,7 +217,8 @@ def cmd_smbp(args) -> int:
     target = read_sample_csv(args.target)
     if target.n != 1:
         raise CliError("the smbp target CSV must contain exactly one curve")
-    system, _, values = _density_at(sample, target, args)
+    system = fit_fpca(sample)
+    _, values = estimate_surrogate_density(sample, system, target, args.d, args.kernel, args.bandwidth)
     x, f_d = target.curve(0), float(values[0])
     reports = [
         factorize(sample, x, eps, args.d, system, f_d, args.J) for eps in args.eps

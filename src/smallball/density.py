@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpca import ScoreMatrix, fit_fpca, scores
-from .grids import FunctionalSample
+from .fpca import ScoreMatrix
 
 EPANECHNIKOV = "epanechnikov-radial"
 TRUNCATED_GAUSSIAN = "truncated-gaussian-radial"
@@ -219,27 +218,3 @@ def resolve_bandwidth(score_matrix: ScoreMatrix, rule) -> float:
         return bandwidth_rate(score_matrix.n, score_matrix.d, RATE_SMOOTHNESS, score_scale(score_matrix))
     raise ValueError(f"unknown bandwidth rule {rule!r}")
 
-
-def estimate_surrogate_density(
-    sample: FunctionalSample,
-    x_curves: FunctionalSample,
-    d: int,
-    kernel_family: str = EPANECHNIKOV,
-    bandwidth_rule="normal-scale",
-):
-    """Full pipeline: FPCA, score projection, bandwidth, KDE at the targets.
-
-    Returns (values, system, estimator) where values[i] is the estimated
-    d-dimensional score density at the projection of x_curves[i].
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if sample.n < 2:
-        raise ValueError("need at least 2 sample curves")
-    system = fit_fpca(sample)
-    system.require_rank(d, sample.n)
-    sample_scores = scores(sample, system, d)
-    h = resolve_bandwidth(sample_scores, bandwidth_rule)
-    estimator = DensityEstimator(sample_scores, h, KernelSpec(kernel_family, d))
-    x_scores = scores(x_curves, system, d).entries
-    return kde_evaluate_many(estimator, x_scores), system, estimator

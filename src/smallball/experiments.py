@@ -1,4 +1,8 @@
-"""Monte Carlo harness: replication loops, RMSEP/APE metrics, table assembly.
+"""The surrogate-density path and the Monte Carlo harness built on it.
+
+``estimate_surrogate_density`` (fitted FPCA -> scores -> bandwidth -> KDE at
+the targets) serves studies, the CLI and the library alike; the harness adds
+replication loops, RMSEP/APE metrics and table assembly.
 
 Each replication is a pure function of (config, replication index): it draws
 its own random stream, so replications can run on any number of worker
@@ -15,9 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import GAUSSIAN, RATE_SMOOTHNESS, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
-from .fpca import fit_fpca, scores
-from .grids import write_csv
+from .density import (
+    EPANECHNIKOV, GAUSSIAN, RATE_SMOOTHNESS, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
+)
+from .fpca import EigenSystem, fit_fpca, scores
+from .grids import FunctionalSample, write_csv
 from .processes import (
     SINE,
     WIENER,
@@ -58,6 +64,23 @@ def ape(estimate, truth):
         raise ValueError("APE is undefined at a zero truth value")
     err = np.abs(np.asarray(estimate, dtype=float) - tru) / np.abs(tru)
     return float(err) if err.ndim == 0 else err
+
+
+def estimate_surrogate_density(
+    sample: FunctionalSample,
+    system: EigenSystem,
+    targets: FunctionalSample,
+    d: int,
+    kernel_family: str = EPANECHNIKOV,
+    bandwidth_rule="normal-scale",
+):
+    """KDE of the d-dim scores of ``sample``, fitted as ``system``, at the targets': (target_scores, estimates)."""
+    system.require_rank(d, sample.n)
+    sample_scores = scores(sample, system, d)
+    h = resolve_bandwidth(sample_scores, bandwidth_rule)
+    estimator = DensityEstimator(sample_scores, h, KernelSpec(kernel_family, d))
+    target_scores = scores(targets, system, d).entries
+    return target_scores, kde_evaluate_many(estimator, target_scores)
 
 
 @dataclass(frozen=True)
@@ -164,11 +187,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     rmsep_by_d = {}
     ape_by_b = None
     for d in config.d_values:
-        sample_scores = scores(sample, system, d)
-        h = resolve_bandwidth(sample_scores, config.bandwidth_rule)
-        estimator = DensityEstimator(sample_scores, h, KernelSpec(config.kernel_family, d))
-        target_scores = scores(targets, system, d).entries
-        estimates = kde_evaluate_many(estimator, target_scores)
+        _, estimates = estimate_surrogate_density(
+            sample, system, targets, d, config.kernel_family, config.bandwidth_rule
+        )
         if spec.kind == WIENER:
             estimates = estimates * math.prod(
                 math.sqrt(2.0 * math.pi * lam) for lam in system.eigenvalues[:d]

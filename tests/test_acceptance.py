@@ -342,8 +342,8 @@ def test_criterion_10_plug_in_stability():
         plug_gaps, kde_gaps = [], []
         for rep in range(100):
             sample = sample_sine(n, grid, "std-normal", SeededRng(777, rep))
-            estimated, _, _ = estimate_surrogate_density(
-                sample, targets, 1, kernel_family="gaussian-radial"
+            _, estimated = estimate_surrogate_density(
+                sample, fit_fpca(sample), targets, 1, kernel_family="gaussian-radial"
             )
             pseudo = _pseudo_sine_estimate(sample, targets, grid)
             plug_gaps.append(np.mean(np.abs(estimated - pseudo)))

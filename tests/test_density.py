@@ -20,6 +20,7 @@ from smallball import (
     bandwidth_normal_scale,
     bandwidth_rate,
     estimate_surrogate_density,
+    fit_fpca,
     kde_evaluate_many,
     kernel_profile,
     resolve_bandwidth,
@@ -339,8 +340,8 @@ class TestSurrogateDensityPipeline:
         sample = sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))
         targets = target_curves("sine", [0.0], sine_grid)
         with pytest.raises(ValueError, match=r"d=2 exceeds the numerical rank 1 of the n=80"):
-            estimate_surrogate_density(sample, targets, 2)
-        values, _, _ = estimate_surrogate_density(sample, targets, 1)
+            estimate_surrogate_density(sample, fit_fpca(sample), targets, 2)
+        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, 1)
         assert values[0] == pytest.approx(0.399, abs=0.1)
 
     def test_symmetric_sample_symmetric_targets(self, sine_grid):
@@ -348,12 +349,12 @@ class TestSurrogateDensityPipeline:
         a = np.concatenate([np.linspace(0.2, 2.0, 25), -np.linspace(0.2, 2.0, 25)])
         sample = FunctionalSample(sine_grid, a[:, None] * e1[None, :])
         targets = FunctionalSample(sine_grid, np.array([0.0, 0.9, -0.9])[:, None] * e1[None, :])
-        values, _, _ = estimate_surrogate_density(sample, targets, 1)
+        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, 1)
         # Projections of a symmetric cloud are symmetric: the +x and -x
         # evaluations agree, and reflecting the whole sample changes nothing.
         assert values[1] == pytest.approx(values[2], rel=1e-12)
         reflected = FunctionalSample(sine_grid, -sample.values)
-        mirrored, _, _ = estimate_surrogate_density(reflected, targets, 1)
+        _, mirrored = estimate_surrogate_density(reflected, fit_fpca(reflected), targets, 1)
         assert mirrored[0] == pytest.approx(values[0], rel=1e-12)
 
     def test_table_scale_rmsep_ballpark(self, sine_grid):
@@ -364,8 +365,8 @@ class TestSurrogateDensityPipeline:
         draws = []
         for rep in range(30):
             sample = sample_sine(1000, sine_grid, "std-normal", SeededRng(99, rep))
-            values, _, _ = estimate_surrogate_density(
-                sample, targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+            _, values = estimate_surrogate_density(
+                sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
             )
             draws.append(np.sum((values - truths) ** 2) / np.sum(truths**2))
         mean = float(np.mean(draws))
@@ -378,8 +379,8 @@ class TestSurrogateDensityPipeline:
         truths = true_intensity("sine", "std-normal", b)
         targets = target_curves("sine", b, sine_grid)
         sample = sample_sine(n, sine_grid, "std-normal", SeededRng(100, 0))
-        estimated, _, _ = estimate_surrogate_density(
-            sample, targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+        _, estimated = estimate_surrogate_density(
+            sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
         )
         pseudo = _pseudo_estimate_sine(sample, targets, sine_grid)
         r_est = np.sum((estimated - truths) ** 2) / np.sum(truths**2)
@@ -394,8 +395,8 @@ class TestSurrogateDensityPipeline:
         ratios = []
         for rep in range(20):
             sample = sample_sine(500, sine_grid, "std-normal", SeededRng(101, rep))
-            estimated, _, _ = estimate_surrogate_density(
-                sample, targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+            _, estimated = estimate_surrogate_density(
+                sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
             )
             pseudo = _pseudo_estimate_sine(sample, targets, sine_grid)
             plug_in = np.mean(np.abs(estimated - pseudo))
@@ -413,8 +414,8 @@ class TestSurrogateDensityPipeline:
             gaps = []
             for rep in range(60):
                 sample = sample_wiener(n, unit_grid, 50, SeededRng(102, rep))
-                estimated, _, _ = estimate_surrogate_density(
-                    sample, targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+                _, estimated = estimate_surrogate_density(
+                    sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
                 )
                 pseudo = _pseudo_estimate(sample, targets, e1, unit_grid)
                 gaps.append(np.mean(np.abs(estimated - pseudo)))

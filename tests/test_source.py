@@ -8,8 +8,15 @@ import types
 from pathlib import Path
 
 import smallball
+from smallball import cli, experiments
+from smallball.experiments import ExperimentConfig, run_replication
+from smallball.processes import ProcessSpec
 
 SOURCES = sorted(Path(smallball.__file__).parent.glob("*.py"))
+
+# Imports a module never reads, kept because the benchmark traces calls by
+# patching them at that module's lookup site; each must be such a site.
+TRACE_ONLY = {("cli", "kde_evaluate_many"), ("cli", "resolve_bandwidth")}
 
 
 def test_no_assert_statements():
@@ -24,22 +31,77 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
-def test_benchmark_trace_sites_resolve(monkeypatch):
-    # The benchmark traces calls by patching names where their callers look
-    # them up; a refactor that moves one of those names breaks `--trace 1`.
-    # Importing spans and workloads runs nothing.
+def _trace_sites(monkeypatch):
+    """The benchmark's (owner, attribute, span) lookup sites; importing spans and workloads runs nothing."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     bench_modules = ("reference", "spans", "workloads")
     saved = {name: sys.modules.pop(name) for name in bench_modules if name in sys.modules}
     try:
-        sites = importlib.import_module("spans").bindings(importlib.import_module("workloads"))
+        return importlib.import_module("spans").bindings(importlib.import_module("workloads"))
     finally:
         for name in bench_modules:
             sys.modules.pop(name, None)
         sys.modules.update(saved)
+
+
+def test_benchmark_trace_sites_resolve(monkeypatch):
+    # The benchmark traces calls by patching names where their callers look
+    # them up; a refactor that moves one of those names breaks `--trace 1`.
+    sites = _trace_sites(monkeypatch)
     assert len(sites) == 33
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in sites if not hasattr(owner, attr)]
     assert not missing, f"trace sites that no longer resolve: {missing}"
+
+
+def test_every_top_level_import_is_read(monkeypatch):
+    # No linter runs on the package, so this stands in for an unused-import check.
+    unused = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    assert not unused - TRACE_ONLY, f"top-level imports never read: {sorted(unused - TRACE_ONLY)}"
+    sites = {(owner.__name__.rpartition(".")[2], attr) for owner, attr, _ in _trace_sites(monkeypatch)}
+    assert TRACE_ONLY <= sites, f"exempt imports that the benchmark does not patch: {sorted(TRACE_ONLY - sites)}"
+
+
+def test_every_density_estimate_goes_through_traced_sites(tmp_path, monkeypatch):
+    # The benchmark counts projections, bandwidths and KDEs where
+    # smallball.experiments looks them up, so the CLI and studies must reach
+    # them through there for its per-layer numbers to hold.
+    calls = dict.fromkeys(("kde_evaluate_many", "resolve_bandwidth", "scores"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    def counts(run) -> tuple:
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        return tuple(calls.values())
+
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--seed", "3", "--n", "40", "--out", str(sim)]) == 0
+    sample = str(sim / "sample.csv")
+    target = tmp_path / "target.csv"
+    target.write_text("\n".join((sim / "sample.csv").read_text().splitlines()[:2]) + "\n")
+    density = ["density", "--input", sample, "--targets", sample, "--d", "1", "--out", str(tmp_path / "d")]
+    smbp = ["smbp", "--input", sample, "--target", str(target), "--eps", "0.5", "--d", "1", "--J", "4",
+            "--out", str(tmp_path / "s")]
+    assert counts(lambda: cli.main(density)) == (1, 1, 2)
+    assert counts(lambda: cli.main(smbp)) == (1, 1, 2)
+    config = ExperimentConfig(ProcessSpec("wiener", J=5), n=30, d_values=(1, 2), replications=1)
+    assert counts(lambda: run_replication(config, 0)) == (2, 2, 4)
 
 
 def test_all_lists_importable_names_only():
