@@ -33,7 +33,7 @@ center = FunctionalSample(grid, x.values[None, :])
 print("\n  eps    d   f_d(0)     psi      phi_d     MC oracle   rel err")
 for eps in (0.8, 0.6, 0.5, 0.4, 0.3):
     d, _ = select_dimension_hyper(lam, eps, 0.5)
-    f_d = float(estimate_surrogate_density(sample, system, center, d, GAUSSIAN)[1][0])
+    f_d = float(estimate_surrogate_density(sample, system, center, [d], GAUSSIAN)[d][1][0])
     rep = factorize(sample, x, eps, d, system, f_d, 8)
     oracle = empirical_smbp(sample, x, eps)
     print(f"  {eps:4.2f}   {d}   {f_d:.4f}   {rep.correction:.4f}   {rep.phi_d:.5f}   "
@@ -47,5 +47,5 @@ the asymptotic regime of the larger d kicks in at smaller radii.""")
 
 print("report for eps = 0.4 as JSON:")
 d, _ = select_dimension_hyper(lam, 0.4, 0.5)
-f_d = float(estimate_surrogate_density(sample, system, center, d, GAUSSIAN)[1][0])
+f_d = float(estimate_surrogate_density(sample, system, center, [d], GAUSSIAN)[d][1][0])
 print(factorize(sample, x, 0.4, d, system, f_d, 8).to_json())

@@ -3,7 +3,10 @@
 Subcommands: simulate, fpca, density, smbp, experiment.  Configs are flat
 ``key = value`` text files; every run writes its outputs atomically under
 --out together with a manifest.json listing each output file with a content
-hash, so reruns can be verified byte for byte.
+hash, so reruns can be verified byte for byte.  Every command runs BLAS on
+one thread, so the bytes do not depend on the host's core count; the
+manifest records that as ``"blas_threads": 1`` (``"unpinned"`` where numpy's
+BLAS offers no thread control).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import tempfile
 import time
 
 from . import __version__
+from ._blas import blas_threads, one_blas_thread
 # kde_evaluate_many and resolve_bandwidth are unused here; perfbench/spans.py patches them at this site.
 from .density import EPANECHNIKOV, GAUSSIAN, kde_evaluate_many, resolve_bandwidth
 from .experiments import (
@@ -121,6 +125,7 @@ class OutputWriter:
             "seed": seed,
             "config": config or {},
             "version": __version__,
+            "blas_threads": blas_threads(),
             "started_unix": time.time(),
             "outputs": {},
         }
@@ -198,8 +203,8 @@ def cmd_density(args) -> int:
     sample = read_sample_csv(args.input)
     targets = read_sample_csv(args.targets)
     target_scores, values = estimate_surrogate_density(
-        sample, fit_fpca(sample), targets, args.d, args.kernel, args.bandwidth
-    )
+        sample, fit_fpca(sample), targets, [args.d], args.kernel, args.bandwidth
+    )[args.d]
     writer = OutputWriter(
         args.out,
         "density",
@@ -218,7 +223,7 @@ def cmd_smbp(args) -> int:
     if target.n != 1:
         raise CliError("the smbp target CSV must contain exactly one curve")
     system = fit_fpca(sample)
-    _, values = estimate_surrogate_density(sample, system, target, args.d, args.kernel, args.bandwidth)
+    _, values = estimate_surrogate_density(sample, system, target, [args.d], args.kernel, args.bandwidth)[args.d]
     x, f_d = target.curve(0), float(values[0])
     reports = [
         factorize(sample, x, eps, args.d, system, f_d, args.J) for eps in args.eps
@@ -335,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except (ReplicationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

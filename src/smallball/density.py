@@ -16,11 +16,12 @@ to double precision with no Gamma function, so no overflow at large d.
 
 The evaluator is exact and works on squared scaled distances
 u^2 = ||s_i - x||^2 / h^2, one block of (target, sample) pairs at a time:
-2**20 float64 (8 MiB), or a single target row when n is larger.  At d >= 2
-each block is one GEMM, ||x||^2 + ||s||^2 - 2 x.s on scores centred at the
-sample mean and clamped at 0; at d = 1 it is (x - s)^2 directly, which is
-faster there and keeps the digits a GEMM would cancel.  The profiles take
-u^2 in place, so no square root is taken and compact support reads u^2 <= 1.
+2**15 float64 (256 KiB, small enough to stay in cache), or a single target
+row when n is larger.  At d >= 2 each block is one GEMM, ||x||^2 + ||s||^2
+- 2 x.s on scores centred at the sample mean and clamped at 0; at d = 1 it
+is (x - s)^2 directly, which is faster there and keeps the digits a GEMM
+would cancel.  The profiles take u^2 in place, so no square root is taken
+and compact support reads u^2 <= 1.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ KERNEL_FAMILIES = (EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN)
 # Smoothness order p of the "rate" bandwidth rule: a twice-differentiable density.
 RATE_SMOOTHNESS = 2.0
 
-# Float64 values in one (rows, n) block of squared distances: 8 MiB.
-_BLOCK_ELEMENTS = 2**20
+# Float64 values in one (rows, n) block of squared distances: 256 KiB.
+_BLOCK_ELEMENTS = 2**15
 
 
 def _sphere_surface(d: int) -> float:

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .density import (
     EPANECHNIKOV, GAUSSIAN, RATE_SMOOTHNESS, DensityEstimator, KernelSpec, kde_evaluate_many, resolve_bandwidth
 )
-from .fpca import EigenSystem, fit_fpca, scores
+from .fpca import EigenSystem, ScoreMatrix, fit_fpca, scores
 from .grids import FunctionalSample, write_csv
 from .processes import (
     SINE,
@@ -70,17 +71,26 @@ def estimate_surrogate_density(
     sample: FunctionalSample,
     system: EigenSystem,
     targets: FunctionalSample,
-    d: int,
+    d_values,
     kernel_family: str = EPANECHNIKOV,
     bandwidth_rule="normal-scale",
-):
-    """KDE of the d-dim scores of ``sample``, fitted as ``system``, at the targets': (target_scores, estimates)."""
-    system.require_rank(d, sample.n)
-    sample_scores = scores(sample, system, d)
-    h = resolve_bandwidth(sample_scores, bandwidth_rule)
-    estimator = DensityEstimator(sample_scores, h, KernelSpec(kernel_family, d))
-    target_scores = scores(targets, system, d).entries
-    return target_scores, kde_evaluate_many(estimator, target_scores)
+) -> dict:
+    """KDE of the d-dim scores of ``sample``, fitted as ``system``, at the targets, for each d.
+
+    Returns {d: (target_scores, estimates)}.  The sample and the targets are
+    projected once, at the largest d, and each d reads the leading columns.
+    """
+    d_max = max(d_values)
+    system.require_rank(d_max, sample.n)
+    sample_scores = scores(sample, system, d_max).entries
+    target_scores = scores(targets, system, d_max).entries
+    out = {}
+    for d in d_values:
+        sample_d, targets_d = ScoreMatrix(sample_scores[:, :d]), target_scores[:, :d]
+        h = resolve_bandwidth(sample_d, bandwidth_rule)
+        estimator = DensityEstimator(sample_d, h, KernelSpec(kernel_family, d))
+        out[d] = targets_d, kde_evaluate_many(estimator, targets_d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,10 +196,10 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
 
     rmsep_by_d = {}
     ape_by_b = None
-    for d in config.d_values:
-        _, estimates = estimate_surrogate_density(
-            sample, system, targets, d, config.kernel_family, config.bandwidth_rule
-        )
+    by_d = estimate_surrogate_density(
+        sample, system, targets, config.d_values, config.kernel_family, config.bandwidth_rule
+    )
+    for d, (_, estimates) in by_d.items():
         if spec.kind == WIENER:
             estimates = estimates * math.prod(
                 math.sqrt(2.0 * math.pi * lam) for lam in system.eigenvalues[:d]
@@ -207,6 +217,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     ``threads`` > 1 distributes replications over a thread pool; results are
     merged by replication index, so the output is identical to a serial run.
+    Every worker runs BLAS on one thread (the pin is process-wide while the
+    study runs), so neither ``threads`` nor the host's core count changes
+    the output bytes.
     """
     def one(index: int) -> ReplicationResult:
         try:
@@ -217,14 +230,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     indices = range(config.replications)
-    if threads > 1:
-        # Imported here: concurrent.futures loads logging, which a serial run never needs.
-        from concurrent.futures import ThreadPoolExecutor
+    with one_blas_thread():
+        if threads > 1:
+            # Imported here: concurrent.futures loads logging, which a serial run never needs.
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(one, indices))
+        else:
+            results = [one(i) for i in indices]
 
     rmsep_draws = {
         d: np.array([r.rmsep_by_d[d] for r in results]) for d in config.d_values

@@ -126,8 +126,12 @@ def wiener_tail_mass(J: int) -> float:
 
 
 def _kl_sample(grid: Grid, draws: np.ndarray, lambdas: np.ndarray, basis: np.ndarray) -> FunctionalSample:
-    """Karhunen-Loeve paths sum_j sqrt(lambda_j) draws_j e_j: one path per row of draws, e_j per row of basis."""
-    return FunctionalSample(grid, (draws * np.sqrt(lambdas)[None, :]) @ basis)
+    """Karhunen-Loeve paths sum_j sqrt(lambda_j) draws_j e_j: one path per row of draws, e_j per row of basis.
+
+    ``draws`` is scaled in place, so no second (n, J) array is allocated.
+    """
+    draws *= np.sqrt(lambdas)[None, :]
+    return FunctionalSample(grid, draws @ basis)
 
 
 def sample_wiener(n: int, grid: Grid, J: int, rng: SeededRng) -> FunctionalSample:

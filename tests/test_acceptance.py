@@ -343,8 +343,8 @@ def test_criterion_10_plug_in_stability():
         for rep in range(100):
             sample = sample_sine(n, grid, "std-normal", SeededRng(777, rep))
             _, estimated = estimate_surrogate_density(
-                sample, fit_fpca(sample), targets, 1, kernel_family="gaussian-radial"
-            )
+                sample, fit_fpca(sample), targets, [1], kernel_family="gaussian-radial"
+            )[1]
             pseudo = _pseudo_sine_estimate(sample, targets, grid)
             plug_gaps.append(np.mean(np.abs(estimated - pseudo)))
             kde_gaps.append(np.mean(np.abs(pseudo - truths)))

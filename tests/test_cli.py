@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smallball
+from smallball._blas import one_blas_thread
 from smallball.cli import build_parser, main, parse_config_text
 from smallball.density import EPANECHNIKOV
 from smallball.experiments import estimate_surrogate_density
@@ -279,15 +280,15 @@ class TestFevSelection:
         assert header.count("score_") >= 2  # FEV 0.9 needs at least two components
 
     def test_fev_beyond_numerical_rank(self, tmp_path, capsys):
-        # Rank one: the FEV of d=1 is 1 - 2.2e-15, so this threshold picks d=9,
-        # and eight of its score columns would be rounding noise.
+        # Rank one: the FEV of d=1 is 1 - 2.2e-15, so this threshold picks d=10
+        # (on one BLAS thread), and nine of its score columns would be rounding noise.
         sim = tmp_path / "sim"
         run_cli("simulate", "--seed", "4", "--out", str(sim), "--n", "80")  # sine: rank one
         out = tmp_path / "fpca"
         code = run_cli("fpca", "--input", str(sim / "sample.csv"), "--fev", "0.999999999999999", "--out", str(out))
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1
-        assert "d=9" in err and "rank 1" in err and "n=80" in err
+        assert "d=10" in err and "rank 1" in err and "n=80" in err
         assert not (out / "scores.csv").exists()
 
     def test_d_and_fev_are_exclusive(self, tmp_path, capsys):
@@ -335,29 +336,34 @@ def test_each_subcommand_takes_only_options_it_reads():
 
 @pytest.mark.parametrize("bandwidth", ["normal-scale", "0.3"])
 def test_density_and_smbp_match_library_pipeline(tmp_path, bandwidth):
-    """density.csv's f_hat and smbp's f_d equal estimate_surrogate_density exactly."""
+    """density.csv's f_hat and smbp's f_d equal estimate_surrogate_density on one BLAS thread exactly."""
     sample_csv, lines = write_wiener_sample(tmp_path, n=150, seed=8)
     targets_csv = tmp_path / "targets.csv"
     targets_csv.write_text("\n".join(lines[:9]) + "\n")
     target_csv = tmp_path / "target.csv"
     target_csv.write_text(lines[0] + "\n" + lines[4] + "\n")
     sample = read_sample_csv(sample_csv)
-    system = fit_fpca(sample)
     rule = bandwidth if bandwidth == "normal-scale" else float(bandwidth)
+    with one_blas_thread():
+        system = fit_fpca(sample)
+        _, want_density = estimate_surrogate_density(
+            sample, system, read_sample_csv(targets_csv), [2], EPANECHNIKOV, rule
+        )[2]
+        _, want_smbp = estimate_surrogate_density(
+            sample, system, read_sample_csv(target_csv), [2], EPANECHNIKOV, rule
+        )[2]
     shared = ("--input", str(sample_csv), "--d", "2", "--bandwidth", bandwidth)
 
     dens = tmp_path / "dens"
     assert run_cli("density", *shared, "--targets", str(targets_csv), "--out", str(dens)) == 0
     rows = (dens / "density.csv").read_text().splitlines()[1:]
-    _, want = estimate_surrogate_density(sample, system, read_sample_csv(targets_csv), 2, EPANECHNIKOV, rule)
-    assert [float(r.rsplit(",", 1)[1]) for r in rows] == want.tolist()
+    assert [float(r.rsplit(",", 1)[1]) for r in rows] == want_density.tolist()
 
     smbp = tmp_path / "smbp"
     code = run_cli("smbp", *shared, "--target", str(target_csv), "--eps", "0.5", "--J", "6", "--out", str(smbp))
     assert code == 0
     report = json.loads((smbp / "factorization.json").read_text())[0]
-    _, want = estimate_surrogate_density(sample, system, read_sample_csv(target_csv), 2, EPANECHNIKOV, rule)
-    assert report["f_d"] == want[0] > 0
+    assert report["f_d"] == want_smbp[0] > 0
 
 
 class TestRefusedInput:

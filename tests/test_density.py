@@ -28,7 +28,7 @@ from smallball import (
     sample_wiener,
     true_intensity,
 )
-from smallball.density import _sphere_surface, _truncated_gaussian_mass
+from smallball.density import _BLOCK_ELEMENTS, _sphere_surface, _truncated_gaussian_mass
 from smallball.processes import sine_basis_function, target_curves
 
 
@@ -290,12 +290,28 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("family", [EPANECHNIKOV, GAUSSIAN])
     @pytest.mark.parametrize("d", [1, 3])
     def test_blocks_cover_every_point(self, family, d):
-        # 2**20 // 4000 = 262 points per block: 700 points end in a partial block.
+        # Two full blocks of targets and one more, so the last block is a partial one.
+        n = 4000
+        rows = _BLOCK_ELEMENTS // n
+        assert rows > 1
         rng = np.random.default_rng(11)
-        entries = rng.standard_normal((4000, d))
-        points = rng.uniform(-3.0, 3.0, size=(700, d))
+        entries = rng.standard_normal((n, d))
+        points = rng.uniform(-3.0, 3.0, size=(2 * rows + 1, d))
         est = DensityEstimator(ScoreMatrix(entries), 0.4, KernelSpec(family, d))
         _assert_close_to(kde_evaluate_many(est, points), _oracle_kde(entries, 0.4, family, points), rtol=1e-12)
+
+    @pytest.mark.parametrize("family", [EPANECHNIKOV, GAUSSIAN])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_study_shape_spans_several_blocks(self, family, d):
+        # A Wiener study replication: n = 1000 scores, m = 160 targets.
+        n, m = 1000, 160
+        assert m > 2 * (_BLOCK_ELEMENTS // n)
+        rng = np.random.default_rng(13)
+        entries = rng.standard_normal((n, d))
+        points = rng.uniform(-4.0, 4.0, size=(m, d))
+        h = bandwidth_normal_scale(ScoreMatrix(entries))
+        est = DensityEstimator(ScoreMatrix(entries), h, KernelSpec(family, d))
+        _assert_close_to(kde_evaluate_many(est, points), _oracle_kde(entries, h, family, points), rtol=1e-12)
 
     def test_block_memory_is_bounded(self):
         # The (m, n, d) difference array alone would take 100 * 50 000 * 3 * 8 bytes = 114 MiB.
@@ -340,21 +356,34 @@ class TestSurrogateDensityPipeline:
         sample = sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))
         targets = target_curves("sine", [0.0], sine_grid)
         with pytest.raises(ValueError, match=r"d=2 exceeds the numerical rank 1 of the n=80"):
-            estimate_surrogate_density(sample, fit_fpca(sample), targets, 2)
-        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, 1)
+            estimate_surrogate_density(sample, fit_fpca(sample), targets, [2])
+        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, [1])[1]
         assert values[0] == pytest.approx(0.399, abs=0.1)
+
+    def test_d_list_matches_one_d_at_a_time(self, unit_grid):
+        # One projection at the largest d, sliced per d, against a projection at each d.
+        sample = sample_wiener(300, unit_grid, 20, SeededRng(22, 0))
+        targets = target_curves("wiener", [-1.0, 0.0, 0.5, 2.0], unit_grid)
+        system = fit_fpca(sample)
+        together = estimate_surrogate_density(sample, system, targets, (3, 1, 2), GAUSSIAN)
+        assert list(together) == [3, 1, 2]
+        for d, (target_scores, values) in together.items():
+            alone_scores, alone = estimate_surrogate_density(sample, system, targets, [d], GAUSSIAN)[d]
+            assert target_scores.shape == (4, d)
+            np.testing.assert_allclose(target_scores, alone_scores, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(values, alone, rtol=1e-12)
 
     def test_symmetric_sample_symmetric_targets(self, sine_grid):
         e1 = sine_basis_function(sine_grid)
         a = np.concatenate([np.linspace(0.2, 2.0, 25), -np.linspace(0.2, 2.0, 25)])
         sample = FunctionalSample(sine_grid, a[:, None] * e1[None, :])
         targets = FunctionalSample(sine_grid, np.array([0.0, 0.9, -0.9])[:, None] * e1[None, :])
-        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, 1)
+        _, values = estimate_surrogate_density(sample, fit_fpca(sample), targets, [1])[1]
         # Projections of a symmetric cloud are symmetric: the +x and -x
         # evaluations agree, and reflecting the whole sample changes nothing.
         assert values[1] == pytest.approx(values[2], rel=1e-12)
         reflected = FunctionalSample(sine_grid, -sample.values)
-        _, mirrored = estimate_surrogate_density(reflected, fit_fpca(reflected), targets, 1)
+        _, mirrored = estimate_surrogate_density(reflected, fit_fpca(reflected), targets, [1])[1]
         assert mirrored[0] == pytest.approx(values[0], rel=1e-12)
 
     def test_table_scale_rmsep_ballpark(self, sine_grid):
@@ -366,8 +395,8 @@ class TestSurrogateDensityPipeline:
         for rep in range(30):
             sample = sample_sine(1000, sine_grid, "std-normal", SeededRng(99, rep))
             _, values = estimate_surrogate_density(
-                sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
-            )
+                sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+            )[1]
             draws.append(np.sum((values - truths) ** 2) / np.sum(truths**2))
         mean = float(np.mean(draws))
         assert 0.15e-2 < mean < 0.7e-2  # reference value 0.330e-2
@@ -380,8 +409,8 @@ class TestSurrogateDensityPipeline:
         targets = target_curves("sine", b, sine_grid)
         sample = sample_sine(n, sine_grid, "std-normal", SeededRng(100, 0))
         _, estimated = estimate_surrogate_density(
-            sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
-        )
+            sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+        )[1]
         pseudo = _pseudo_estimate_sine(sample, targets, sine_grid)
         r_est = np.sum((estimated - truths) ** 2) / np.sum(truths**2)
         r_pseudo = np.sum((pseudo - truths) ** 2) / np.sum(truths**2)
@@ -396,8 +425,8 @@ class TestSurrogateDensityPipeline:
         for rep in range(20):
             sample = sample_sine(500, sine_grid, "std-normal", SeededRng(101, rep))
             _, estimated = estimate_surrogate_density(
-                sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
-            )
+                sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+            )[1]
             pseudo = _pseudo_estimate_sine(sample, targets, sine_grid)
             plug_in = np.mean(np.abs(estimated - pseudo))
             kde_err = np.mean(np.abs(pseudo - truths))
@@ -415,8 +444,8 @@ class TestSurrogateDensityPipeline:
             for rep in range(60):
                 sample = sample_wiener(n, unit_grid, 50, SeededRng(102, rep))
                 _, estimated = estimate_surrogate_density(
-                    sample, fit_fpca(sample), targets, 1, kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
-                )
+                    sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
+                )[1]
                 pseudo = _pseudo_estimate(sample, targets, e1, unit_grid)
                 gaps.append(np.mean(np.abs(estimated - pseudo)))
             medians[n] = float(np.median(gaps))
