@@ -39,6 +39,10 @@ from .processes import SINE, STD_NORMAL, ProcessSpec, SeededRng, default_grid, s
 from .smbp import factorize
 
 
+# Bytes read at a time to hash an output (hashlib.file_digest needs Python 3.11).
+_HASH_CHUNK = 1 << 20
+
+
 class CliError(ValueError):
     """User-facing CLI failure with a one-line diagnostic."""
 
@@ -141,9 +145,11 @@ class OutputWriter:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        digest = hashlib.sha256()
         with open(final, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.manifest["outputs"][name] = digest
+            for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+                digest.update(chunk)
+        self.manifest["outputs"][name] = digest.hexdigest()
         return final
 
     def finish(self) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Curve, FunctionalSample, Grid, GridMismatchError, write_csv
+from .grids import Curve, FunctionalSample, Grid, GridMismatchError, _centered_blocks, write_csv
 
 # Eigenvalues of an empirical covariance below this (times max(1, lambda_max),
 # so the test follows the data's units) are rounding noise and get clamped to
@@ -48,10 +48,6 @@ class EigenSystem:
             raise ValueError("eigenvalues must be sorted descending")
         if np.any(self.eigenvalues < 0):
             raise ValueError("eigenvalues must be nonnegative after clamping")
-
-    @property
-    def mean_curve(self) -> Curve:
-        return Curve(self.grid, self.mean)
 
     @property
     def rank(self) -> int:
@@ -96,10 +92,18 @@ def empirical_mean(sample: FunctionalSample) -> Curve:
 def empirical_covariance(sample: FunctionalSample) -> np.ndarray:
     """Pointwise empirical covariance matrix C_kl with 1/n normalization.
 
+    Rows are centered at the sample mean and their cross products summed one
+    row block at a time, so the temporaries stay one block whatever n is.
     Symmetrized explicitly so C == C.T holds exactly in floating point.
     """
-    centered = sample.values - sample.values.mean(axis=0)
-    cov = centered.T @ centered / sample.n
+    cov = None
+    for _, centered in _centered_blocks(sample.values, sample.values.mean(axis=0)):
+        gram = centered.T @ centered
+        if cov is None:
+            cov = gram
+        else:
+            cov += gram
+    cov /= sample.n
     return 0.5 * (cov + cov.T)
 
 
@@ -156,15 +160,20 @@ def scores(curves: FunctionalSample | Curve, system: EigenSystem, d: int):
     """Project centered curves onto the first d estimated eigenfunctions.
 
     Returns a ScoreMatrix for a FunctionalSample and a length-d vector for a
-    single Curve.
+    single Curve.  A sample is centered one row block at a time, straight into
+    its rows of the result.
     """
     if d < 1 or d > system.eigenvalues.size:
         raise ValueError(f"d={d} is out of range (1..{system.eigenvalues.size})")
     if not curves.grid.matches(system.grid):
         raise GridMismatchError("curves and eigensystem grids differ")
     weighted_basis = (system.eigenfunctions[:d] * system.grid.weights).T
-    projected = (curves.values - system.mean) @ weighted_basis
-    return projected if isinstance(curves, Curve) else ScoreMatrix(projected)
+    if isinstance(curves, Curve):
+        return (curves.values - system.mean) @ weighted_basis
+    projected = np.empty((curves.n, d))
+    for rows, centered in _centered_blocks(curves.values, system.mean):
+        np.matmul(centered, weighted_basis, out=projected[rows])
+    return ScoreMatrix(projected)
 
 
 def _spectrum(eigenvalues) -> tuple[np.ndarray, float]:

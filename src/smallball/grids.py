@@ -10,9 +10,15 @@ the buffer must stay writable elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Float64 values in one row block (8 MiB).  Every pass that centers the n
+# curves of a sample works one block at a time, so its temporaries do not
+# grow with n.
+_ROW_BLOCK_FLOATS = 2**20
 
 
 class GridMismatchError(ValueError):
@@ -140,6 +146,22 @@ class FunctionalSample:
         return Curve(self.grid, self.values[i])
 
 
+def _centered_blocks(values: np.ndarray, center: np.ndarray):
+    """Yield (rows, values[rows] - center) for consecutive row blocks of an (n, p) array.
+
+    Each block holds at most _ROW_BLOCK_FLOATS values (at least one row) and
+    is written into one reused buffer, so a block is valid only until the
+    next one is yielded; the caller may overwrite it in place.
+    """
+    n, width = values.shape
+    step = max(1, min(n, _ROW_BLOCK_FLOATS // width))
+    buffer = np.empty((step, width))
+    for start in range(0, n, step):
+        block = buffer[: min(step, n - start)]
+        np.subtract(values[start : start + step], center, out=block)
+        yield slice(start, start + block.shape[0]), block
+
+
 def inner_product(f: Curve, g: Curve) -> float:
     """Quadrature inner product sum_k w_k f(t_k) g(t_k)."""
     _require_same_grid(f.grid, g.grid)
@@ -156,7 +178,8 @@ def _parse_rows(lines, usecols=None) -> np.ndarray:
 
     Each cell is converted by ``PyOS_string_to_double``, which rounds
     correctly, so a value reads back bit-identical to Python's ``float``.
-    ``lines`` must hold at least one nonblank line: given none, loadtxt warns.
+    ``lines`` (any iterable of str) must hold at least one nonblank line:
+    given none, loadtxt warns.
     """
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
 
@@ -171,7 +194,7 @@ def _unparseable(lineno: int, line: str) -> CsvFormatError:
     return CsvFormatError(lineno, f"cannot parse value {cell!r} in column {col + 1}")
 
 
-def _first_bad_line(lines: list[str]) -> CsvFormatError:
+def _first_bad_line(lines) -> CsvFormatError:
     """The error for the first line that makes a sample CSV unreadable, found line by line.
 
     Each nonblank line is parsed alone by the same parser.  The checks run in
@@ -204,22 +227,28 @@ def read_sample_csv(path) -> FunctionalSample:
     """Read a sample from CSV: first row grid abscissae, one curve per row.
 
     UTF-8, comma separated, '.' decimal point; blank and whitespace-only lines
-    are skipped.  All cells are parsed in one numpy C call.  Malformed
+    are skipped.  All cells are parsed in one numpy C call that reads the
+    lines straight from the file, so no copy of the text is held.  Malformed
     content (a cell that does not parse, a row of the wrong width, no curve
     row, a nan or inf) raises CsvFormatError with the 1-based line number.
     """
-    # The lines are kept, not re-read, so that the error scan also works on a pipe.
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    rows = [line for line in lines if line.strip()]
-    table = None
-    if len(rows) >= 2:
-        try:
-            table = _parse_rows(rows)
-        except ValueError:
-            pass
-    if table is None or not np.isfinite(table).all():
-        raise _first_bad_line(lines)
+        # The error scan re-reads the file from the start; a pipe cannot be
+        # re-read, so its lines are kept instead.
+        seekable = fh.seekable()
+        lines = fh if seekable else fh.readlines()
+        rows = (line for line in lines if line.strip())
+        head = list(itertools.islice(rows, 2))
+        table = None
+        if len(head) == 2:  # a grid row and a curve row; given no lines, loadtxt warns
+            try:
+                table = _parse_rows(itertools.chain(head, rows))
+            except ValueError:
+                pass
+        if table is None or not np.isfinite(table).all():
+            if seekable:
+                fh.seek(0)
+            raise _first_bad_line(lines)
     return FunctionalSample(Grid(table[0]), table[1:])
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fpca import EigenSystem, scores
-from .grids import Curve, FunctionalSample, GridMismatchError
+from .grids import Curve, FunctionalSample, GridMismatchError, _centered_blocks
 
 
 class SmallBallWarning(UserWarning):
@@ -347,13 +347,20 @@ def wiener_intensity(x: Curve) -> float:
 
 
 def empirical_smbp(sample: FunctionalSample, x: Curve, eps: float) -> float:
-    """Monte Carlo small-ball probability: fraction of curves within eps of x."""
+    """Monte Carlo small-ball probability: fraction of curves within eps of x.
+
+    Each curve's distance sqrt(sum_k w_k (X_k - x_k)^2) is computed one row
+    block at a time, in place in that block's differences.
+    """
     if not sample.grid.matches(x.grid):
         raise GridMismatchError("sample and center live on different grids")
     _require_eps(eps, zero_ok=True)
-    diffs = sample.values - x.values[None, :]
-    dist = np.sqrt(np.sum(sample.grid.weights[None, :] * diffs**2, axis=1))
-    return float(np.mean(dist <= eps))
+    hits = 0
+    for _, diffs in _centered_blocks(sample.values, x.values):
+        diffs **= 2
+        diffs *= sample.grid.weights
+        hits += int(np.count_nonzero(np.sqrt(diffs.sum(axis=1)) <= eps))
+    return hits / sample.n
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from smallball import Curve, FunctionalSample, Grid, SeededRng
+from smallball import Curve, FunctionalSample, Grid, SeededRng, grids
 
 
 @pytest.fixture
@@ -25,3 +27,30 @@ def make_sample(grid: Grid, rows: np.ndarray) -> FunctionalSample:
 @pytest.fixture
 def rng0() -> SeededRng:
     return SeededRng(seed=12345, stream=0)
+
+
+@pytest.fixture
+def traced_peak():
+    """``measure(fn)`` calls fn() under tracemalloc and returns (result, peak bytes the call allocated)."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak - before
+
+    return measure
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """``set_rows(rows, width)`` shrinks the row-block budget so a pass over width-p rows takes ``rows`` at a time."""
+
+    def set_rows(rows: int, width: int) -> None:
+        monkeypatch.setattr(grids, "_ROW_BLOCK_FLOATS", rows * width)
+
+    return set_rows

@@ -24,6 +24,7 @@ from smallball import (
     wiener_eigenvalues,
     write_eigensystem_csv,
 )
+from smallball import grids
 
 
 def unit_bump(grid: Grid) -> np.ndarray:
@@ -302,3 +303,60 @@ def test_eigenfunctions_orthonormal_on_nonuniform_grid(seed, p, n):
     system = fit_fpca(FunctionalSample(grid, rng.standard_normal((n, p)).cumsum(axis=1)))
     gram = (system.eigenfunctions * grid.weights) @ system.eigenfunctions.T
     np.testing.assert_allclose(gram, np.eye(p), rtol=0.0, atol=1e-10)
+
+
+def _one_shot_covariance(sample: FunctionalSample) -> np.ndarray:
+    """The covariance as computed before row blocks: one centred copy of the whole sample."""
+    centered = sample.values - sample.values.mean(axis=0)
+    cov = centered.T @ centered / sample.n
+    return 0.5 * (cov + cov.T)
+
+
+def _one_shot_scores(values: np.ndarray, system: EigenSystem, d: int) -> np.ndarray:
+    """The projection as computed before row blocks."""
+    return (values - system.mean) @ (system.eigenfunctions[:d] * system.grid.weights).T
+
+
+class TestRowBlocks:
+    ROWS = 7  # rows per block under the shrunken budget
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    def test_blocked_covariance_and_scores_match_one_shot(self, n, unit_grid, block_rows):
+        sample = sample_wiener(n, unit_grid, 20, SeededRng(30 + n, 0))
+        block_rows(self.ROWS, unit_grid.size)
+        cov, oracle = empirical_covariance(sample), _one_shot_covariance(sample)
+        np.testing.assert_allclose(cov, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+        assert np.array_equal(cov, cov.T)
+        system = fit_fpca(sample)
+        d = min(4, n - 1)
+        got, want = scores(sample, system, d).entries, _one_shot_scores(sample.values, system, d)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        if n <= self.ROWS:  # one block is the one-shot arithmetic, bit for bit
+            assert cov.tobytes() == oracle.tobytes() and got.tobytes() == want.tobytes()
+
+    def test_curve_scores_under_blocks(self, unit_grid, block_rows):
+        sample = sample_wiener(3 * self.ROWS, unit_grid, 20, SeededRng(31, 0))
+        system = fit_fpca(sample)
+        block_rows(self.ROWS, unit_grid.size)
+        x = sample.curve(2 * self.ROWS)
+        vec = scores(x, system, 3)
+        assert vec.shape == (3,)
+        assert vec.tobytes() == _one_shot_scores(x.values, system, 3).tobytes()
+        np.testing.assert_allclose(vec, scores(sample, system, 3).entries[2 * self.ROWS], rtol=1e-13, atol=1e-15)
+
+    def test_budget_below_one_row_takes_one_row_at_a_time(self, unit_grid, monkeypatch):
+        sample = sample_wiener(5, unit_grid, 20, SeededRng(32, 0))
+        monkeypatch.setattr(grids, "_ROW_BLOCK_FLOATS", 1)
+        oracle = _one_shot_covariance(sample)
+        np.testing.assert_allclose(empirical_covariance(sample), oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
+
+
+def test_temporaries_stay_one_block(traced_peak):
+    # 40 000 curves of 100 points are four blocks; a centred copy of the sample would be four.
+    block = grids._ROW_BLOCK_FLOATS * 8
+    grid = Grid.uniform(0.0, 1.0, 100)
+    sample = FunctionalSample(grid, np.random.default_rng(33).standard_normal((40_000, grid.size)))
+    system, peak = traced_peak(lambda: fit_fpca(sample))
+    assert peak < 1.5 * block
+    projected, peak = traced_peak(lambda: scores(sample, system, 3))
+    assert peak - projected.entries.nbytes < 1.5 * block

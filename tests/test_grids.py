@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -283,6 +285,49 @@ class TestCsv:
             with pytest.raises(CsvFormatError) as err:
                 read_sample_csv(path)
         assert err.value.line == 1
+
+
+def _read_through_pipe(tmp_path, text: str):
+    """read_sample_csv of ``text`` fed through a named pipe by a writer thread."""
+    fifo = tmp_path / "sample.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    try:
+        return read_sample_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestCsvPipe:
+    # A pipe cannot be rewound for the error scan, so the reader keeps its lines.
+    def test_pipe_reads_like_the_file(self, tmp_path, unit_grid):
+        sample = FunctionalSample(unit_grid, np.random.default_rng(5).standard_normal((40, unit_grid.size)))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        text = path.read_text(encoding="utf-8").replace("\n", "\n\n", 3)
+        back, from_file = _read_through_pipe(tmp_path, text), read_sample_csv(path)
+        assert back.grid.points.tobytes() == from_file.grid.points.tobytes() == sample.grid.points.tobytes()
+        assert back.values.tobytes() == from_file.values.tobytes() == sample.values.tobytes()
+
+    def test_bad_cell_on_the_last_line_is_named(self, tmp_path):
+        text = "0.0,0.5,1.0\n1.0,2.0,3.0\n\n4.0,5.0,6.0\n1.0,x,3.0\n"
+        with pytest.raises(CsvFormatError) as err:
+            _read_through_pipe(tmp_path, text)
+        assert str(err.value) == "line 5: cannot parse value 'x' in column 2"
+
+
+def test_read_peak_memory_under_twice_the_values(tmp_path, traced_peak):
+    # The cells are parsed straight from the file: no list of its lines is held.
+    grid = Grid.uniform(0.0, 1.0, 100)
+    sample = FunctionalSample(grid, np.random.default_rng(6).standard_normal((2000, grid.size)))
+    path = tmp_path / "sample.csv"
+    write_sample_csv(sample, path)
+    back, peak = traced_peak(lambda: read_sample_csv(path))
+    assert back.values.tobytes() == sample.values.tobytes()
+    assert peak < 2 * back.values.nbytes
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

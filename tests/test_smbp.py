@@ -30,6 +30,7 @@ from smallball import (
     wiener_eigenvalues,
     wiener_intensity,
 )
+from smallball import grids
 
 
 class TestBallVolume:
@@ -346,6 +347,36 @@ class TestEmpiricalSmbp:
         diffs = sample.values - x.values
         dist = np.sqrt(np.sum(unit_grid.weights * diffs**2, axis=1))
         assert empirical_smbp(sample, x, float(np.median(dist))) == 0.5
+
+
+def _one_shot_distances(sample: FunctionalSample, x: Curve) -> np.ndarray:
+    """Each curve's distance to x as computed before row blocks: one difference array for the whole sample."""
+    diffs = sample.values - x.values[None, :]
+    return np.sqrt(np.sum(sample.grid.weights[None, :] * diffs**2, axis=1))
+
+
+class TestEmpiricalSmbpRowBlocks:
+    ROWS = 7  # rows per block under the shrunken budget
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    def test_blocked_hits_equal_one_shot(self, n, unit_grid, block_rows):
+        sample = sample_wiener(n, unit_grid, 20, SeededRng(40 + n, 0))
+        x = Curve(unit_grid, 0.5 * sample.values[n // 2])
+        dist = _one_shot_distances(sample, x)
+        block_rows(self.ROWS, unit_grid.size)
+        # Each eps = dist[i] puts curve i at distance exactly eps, which counts as a hit.
+        for eps in [0.0, *dist.tolist(), float(np.nextafter(dist.min(), 0.0)), 2.0 * float(dist.max())]:
+            hits = int(np.count_nonzero(dist <= eps))
+            assert empirical_smbp(sample, x, eps) == hits / n
+
+    def test_temporaries_stay_one_block(self, traced_peak):
+        # 40 000 curves of 100 points are four blocks; the difference array of the whole sample would be four.
+        grid = Grid.uniform(0.0, 1.0, 100)
+        sample = FunctionalSample(grid, np.random.default_rng(41).standard_normal((40_000, grid.size)))
+        x = Curve(grid, 0.5 * sample.values[0])
+        fraction, peak = traced_peak(lambda: empirical_smbp(sample, x, 1.0))
+        assert fraction == np.count_nonzero(_one_shot_distances(sample, x) <= 1.0) / sample.n
+        assert peak < 1.5 * grids._ROW_BLOCK_FLOATS * 8
 
 
 
