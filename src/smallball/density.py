@@ -14,14 +14,23 @@ int_0^1 exp(-u^2/2) u^(d-1) du = 2^(d/2-1) gamma(d/2, 1/2), a lower
 incomplete gamma function that the all-positive series of DLMF 8.7.1 gives
 to double precision with no Gamma function, so no overflow at large d.
 
-The evaluator is exact and works on squared scaled distances
-u^2 = ||s_i - x||^2 / h^2, one block of (target, sample) pairs at a time:
-2**15 float64 (256 KiB, small enough to stay in cache), or a single target
-row when n is larger.  At d >= 2 each block is one GEMM, ||x||^2 + ||s||^2
-- 2 x.s on scores centred at the sample mean and clamped at 0; at d = 1 it
-is (x - s)^2 directly, which is faster there and keeps the digits a GEMM
-would cancel.  The profiles take u^2 in place, so no square root is taken
-and compact support reads u^2 <= 1.
+The evaluator is exact.  It scales the scores, centred at the sample mean,
+by h / sqrt(a), so that one GEMM [2 x, -1, -||x||^2] @ [s, ||s||^2, 1]^T
+gives v = -a u^2 with u^2 = ||s_i - x||^2 / h^2 directly: a = 1/2 for the
+Gaussian families, whose profile is then exp(v), and a = 1 for
+Epanechnikov, whose profile is (1 + v)_+.  It works one block of (target,
+sample) pairs at a time, 2**15 float64 (256 KiB, small enough to stay in
+cache), or a single target row when n is larger, in four passes for the
+Gaussian: the GEMM, a clamp at v <= 0 (rounding in the GEMM can leave a tiny
+positive), the profile in place, and the row sums as one GEMV against a
+vector of ones.  Each family's normalising constant is applied once per
+call, with n h^d.  d = 1 takes the same GEMM: a broadcast x - s alone took
+0.044 ms per 32 x 1000 block against 0.014 ms for the GEMM.  The GEMM
+rounds v by about eps (||x||^2 + ||s||^2) in scaled units, so d = 1
+estimates above 1e-3 of the largest moved by up to 2e-13 relative from the
+direct difference (2e-12 for Epanechnikov, whose 1 + v cancels near the edge
+of its support).  No square root is taken and compact support reads v >= -1
+(Epanechnikov) or v >= -1/2 (truncated Gaussian), both u^2 <= 1.
 """
 
 from __future__ import annotations
@@ -81,31 +90,41 @@ class KernelSpec:
             raise ValueError("kernel dimension must be at least 1")
 
 
-def _profile_of_squared(spec: KernelSpec, u2: np.ndarray) -> np.ndarray:
-    """The radial profile at squared radii u2, written over the float array u2 and returned.
+def _profile_constant(spec: KernelSpec) -> float:
+    """The normalising constant c of a family: K(u) = profile(u) / c integrates to 1 over R^d.
 
-    This is the one place that holds each family's normalising constant and
-    its compact support u2 <= 1.
+    This is the one place that holds each family's constant.
     """
     d = spec.dim
     if spec.family == EPANECHNIKOV:
-        c = _sphere_surface(d) * 2.0 / (d * (d + 2))
-        np.subtract(1.0, u2, out=u2)
-        np.maximum(u2, 0.0, out=u2)
-        u2 /= c
+        return _sphere_surface(d) * 2.0 / (d * (d + 2))
+    if spec.family == TRUNCATED_GAUSSIAN:
+        return _sphere_surface(d) * _truncated_gaussian_mass(d)
+    return (2.0 * math.pi) ** (0.5 * d)
+
+
+def _exponent_factor(spec: KernelSpec) -> float:
+    """The a of v = -a u^2, the variable the profiles act on: 1/2 for the Gaussian families, 1 else."""
+    return 1.0 if spec.family == EPANECHNIKOV else 0.5
+
+
+def _unscaled_profile(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
+    """c K(u) at v = -a u^2 <= 0, written over the float array v and returned.
+
+    This is the one place that holds each family's shape and its compact
+    support u^2 <= 1: v >= -1 for Epanechnikov, v >= -1/2 for the truncated
+    Gaussian, whose profile, like the Gaussian's, is exp(v).
+    """
+    if spec.family == EPANECHNIKOV:
+        v += 1.0
+        np.maximum(v, 0.0, out=v)
     elif spec.family == TRUNCATED_GAUSSIAN:
-        c = _sphere_surface(d) * _truncated_gaussian_mass(d)
-        inside = u2 <= 1.0
-        np.minimum(u2, 1.0, out=u2)
-        u2 *= -0.5
-        np.exp(u2, out=u2)
-        u2 *= inside
-        u2 /= c
+        outside = v < -0.5
+        np.exp(v, out=v)
+        v[outside] = 0.0
     else:
-        u2 *= -0.5
-        np.exp(u2, out=u2)
-        u2 *= (2.0 * math.pi) ** (-0.5 * d)
-    return u2
+        np.exp(v, out=v)
+    return v
 
 
 def kernel_profile(spec: KernelSpec, r) -> np.ndarray | float:
@@ -113,7 +132,8 @@ def kernel_profile(spec: KernelSpec, r) -> np.ndarray | float:
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr >= 0):
         raise ValueError("radius must be nonnegative (and not NaN)")
-    out = _profile_of_squared(spec, np.array(r_arr**2, dtype=float))
+    out = _unscaled_profile(spec, np.array(-_exponent_factor(spec) * r_arr**2, dtype=float))
+    out /= _profile_constant(spec)
     return out if out.ndim else float(out)
 
 
@@ -174,32 +194,30 @@ def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"evaluation point {row} is not finite: {pts[row].tolist()}")
-    entries = estimator.scores.entries
+    entries, spec = estimator.scores.entries, estimator.kernel
     n, m, h = entries.shape[0], pts.shape[0], estimator.bandwidth
-    # Centre on the sample mean and scale by 1/h once, so each squared distance
-    # below is already u^2 = ||x - s||^2 / h^2; centring also keeps the GEMM
-    # form from cancelling the squares of a far-off mean.
-    centre = entries.mean(axis=0)
-    sample = (entries - centre) / h
-    targets = (pts - centre) / h
-    if d > 1:
-        # ||x||^2 + ||s||^2 - 2 x.s as one GEMM: [x, 1, ||x||^2] @ [-2 s, ||s||^2, 1]^T.
-        left = np.column_stack([targets, np.ones(m), np.einsum("ij,ij->i", targets, targets)])
-        right = np.vstack([-2.0 * sample.T, np.einsum("ij,ij->i", sample, sample), np.ones(n)])
+    # Centre on the sample mean and divide by h / sqrt(a) once, so the GEMM
+    # below yields v = -a ||x - s||^2 / h^2, the variable of the profile;
+    # centring also keeps it from cancelling the squares of a far-off mean.
+    ones = np.ones(n)
+    centre = ones @ entries / n
+    scale = h / math.sqrt(_exponent_factor(spec))
+    sample = (entries - centre) / scale
+    targets = (pts - centre) / scale
+    # -||x - s||^2 = 2 x.s - ||s||^2 - ||x||^2 as one GEMM: [2 x, -1, -||x||^2] @ [s, ||s||^2, 1]^T.
+    left = np.column_stack([2.0 * targets, np.full(m, -1.0), -np.einsum("ij,ij->i", targets, targets)])
+    right = np.vstack([sample.T, np.einsum("ij,ij->i", sample, sample), ones])
     out = np.empty(m)
     rows = max(1, min(m, _BLOCK_ELEMENTS // n))
     block = np.empty((rows, n))
     for start in range(0, m, rows):
         stop = min(m, start + rows)
-        u2 = block[: stop - start]
-        if d == 1:
-            np.subtract(targets[start:stop], sample[:, 0], out=u2)
-            np.square(u2, out=u2)
-        else:
-            np.matmul(left[start:stop], right, out=u2)
-            np.maximum(u2, 0.0, out=u2)  # rounding can leave a tiny negative
-        out[start:stop] = _profile_of_squared(estimator.kernel, u2).sum(axis=1)
-    return out / (n * h**d)
+        v = block[: stop - start]
+        np.matmul(left[start:stop], right, out=v)
+        np.minimum(v, 0.0, out=v)  # rounding can leave a tiny positive
+        np.matmul(_unscaled_profile(spec, v), ones, out=out[start:stop])
+    out /= _profile_constant(spec) * n * h**d
+    return out
 
 
 def resolve_bandwidth(score_matrix: ScoreMatrix, rule) -> float:

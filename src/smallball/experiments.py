@@ -12,6 +12,7 @@ happens in index order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -177,6 +178,23 @@ class ExperimentResult:
     rmsep_draws: dict = field(repr=False)
 
 
+@functools.cache
+def _study_inputs(kind: str, dist: str):
+    """The grid, target curves, truths and APE mask of a study, built once per (kind, dist).
+
+    They are the same in every replication and every study of the pair, so
+    they are cached on the pair alone, never on a config (whose seed is new
+    for each study); there are at most six entries, all read-only.
+    """
+    grid = default_grid(kind)
+    b = default_b_grid(kind, dist)
+    truths = true_intensity(kind, dist, b)
+    keep = np.abs(truths) > APE_TRUTH_FLOOR
+    truths.setflags(write=False)
+    keep.setflags(write=False)
+    return grid, target_curves(kind, b, grid), truths, keep
+
+
 def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResult:
     """One seeded replication: simulate, FPCA, project targets, KDE, metrics.
 
@@ -186,13 +204,9 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
     with the estimated eigenvalues.
     """
     spec = config.process
-    grid = default_grid(spec.kind)
-    rng = SeededRng(config.base_seed, rep_index)
-    sample = sample_process(spec, config.n, grid, rng)
+    grid, targets, truths, keep = _study_inputs(spec.kind, spec.dist)
+    sample = sample_process(spec, config.n, grid, SeededRng(config.base_seed, rep_index))
     system = fit_fpca(sample)
-    b = np.asarray(config.b_grid)
-    targets = target_curves(spec.kind, b, grid)
-    truths = true_intensity(spec.kind, spec.dist, b)
 
     rmsep_by_d = {}
     ape_by_b = None
@@ -206,7 +220,6 @@ def run_replication(config: ExperimentConfig, rep_index: int) -> ReplicationResu
             )
         rmsep_by_d[d] = rmsep(estimates, truths)
         if ape_by_b is None:
-            keep = np.abs(truths) > APE_TRUTH_FLOOR
             ape_by_b = np.full(truths.shape, np.nan)
             ape_by_b[keep] = ape(estimates[keep], truths[keep])
     return ReplicationResult(rmsep_by_d=rmsep_by_d, ape_by_b=ape_by_b)

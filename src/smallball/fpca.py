@@ -89,15 +89,18 @@ def empirical_mean(sample: FunctionalSample) -> Curve:
     return Curve(sample.grid, sample.values.mean(axis=0))
 
 
-def empirical_covariance(sample: FunctionalSample) -> np.ndarray:
+def empirical_covariance(sample: FunctionalSample, mean: Curve | None = None) -> np.ndarray:
     """Pointwise empirical covariance matrix C_kl with 1/n normalization.
 
-    Rows are centered at the sample mean and their cross products summed one
-    row block at a time, so the temporaries stay one block whatever n is.
-    Symmetrized explicitly so C == C.T holds exactly in floating point.
+    Rows are centered at the sample mean (``mean``, if the caller already has
+    it from ``empirical_mean``) and their cross products summed one row block
+    at a time, so the temporaries stay one block whatever n is.  Symmetrized
+    explicitly so C == C.T holds exactly in floating point.
     """
+    if mean is None:
+        mean = empirical_mean(sample)
     cov = None
-    for _, centered in _centered_blocks(sample.values, sample.values.mean(axis=0)):
+    for _, centered in _centered_blocks(sample.values, mean.values):
         gram = centered.T @ centered
         if cov is None:
             cov = gram
@@ -153,7 +156,7 @@ def eigendecompose(cov: np.ndarray, grid: Grid, mean: Curve) -> EigenSystem:
 def fit_fpca(sample: FunctionalSample) -> EigenSystem:
     """Mean, covariance, and eigendecomposition of a sample in one call."""
     mean = empirical_mean(sample)
-    return eigendecompose(empirical_covariance(sample), sample.grid, mean)
+    return eigendecompose(empirical_covariance(sample, mean), sample.grid, mean)
 
 
 def scores(curves: FunctionalSample | Curve, system: EigenSystem, d: int):

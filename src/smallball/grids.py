@@ -124,7 +124,7 @@ class FunctionalSample:
             raise ValueError("sample values must have shape (n, p) on the grid")
         if values.shape[0] < 1:
             raise ValueError("a sample needs at least one curve")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise ValueError("sample values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -146,6 +146,18 @@ class FunctionalSample:
         return Curve(self.grid, self.values[i])
 
 
+def _row_step(values: np.ndarray) -> int:
+    """Rows in one block of an (n, p) array: at most _ROW_BLOCK_FLOATS values, and at least one row."""
+    n, width = values.shape
+    return max(1, min(n, _ROW_BLOCK_FLOATS // width))
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether an (n, p) array holds no nan or inf, tested one row block at a time."""
+    step = _row_step(values)
+    return all(np.isfinite(values[start : start + step]).all() for start in range(0, values.shape[0], step))
+
+
 def _centered_blocks(values: np.ndarray, center: np.ndarray):
     """Yield (rows, values[rows] - center) for consecutive row blocks of an (n, p) array.
 
@@ -154,7 +166,7 @@ def _centered_blocks(values: np.ndarray, center: np.ndarray):
     next one is yielded; the caller may overwrite it in place.
     """
     n, width = values.shape
-    step = max(1, min(n, _ROW_BLOCK_FLOATS // width))
+    step = _row_step(values)
     buffer = np.empty((step, width))
     for start in range(0, n, step):
         block = buffer[: min(step, n - start)]
@@ -245,11 +257,18 @@ def read_sample_csv(path) -> FunctionalSample:
                 table = _parse_rows(itertools.chain(head, rows))
             except ValueError:
                 pass
-        if table is None or not np.isfinite(table).all():
-            if seekable:
-                fh.seek(0)
-            raise _first_bad_line(lines)
-    return FunctionalSample(Grid(table[0]), table[1:])
+        if table is not None:
+            # The sample's own check is the one finiteness pass over the values.
+            # Any other refusal (a grid that does not increase) is not a matter
+            # of one line and is raised as it is.
+            try:
+                return FunctionalSample(Grid(table[0]), table[1:])
+            except ValueError:
+                if _all_finite(table):
+                    raise
+        if seekable:
+            fh.seek(0)
+        raise _first_bad_line(lines)
 
 
 def write_csv(path, rows, header=None) -> None:

@@ -9,6 +9,7 @@ sharing state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,10 +135,22 @@ def _kl_sample(grid: Grid, draws: np.ndarray, lambdas: np.ndarray, basis: np.nda
     return FunctionalSample(grid, draws @ basis)
 
 
+@functools.lru_cache(maxsize=4)
+def _wiener_basis_on(points: bytes, J: int) -> np.ndarray:
+    """wiener_basis on the grid with these points (as bytes), read-only.
+
+    Every replication of a study draws on one grid, so they share one entry;
+    the cache keeps the last four (grid, J) pairs.
+    """
+    basis = wiener_basis(Grid(np.frombuffer(points)), J)
+    basis.setflags(write=False)
+    return basis
+
+
 def sample_wiener(n: int, grid: Grid, J: int, rng: SeededRng) -> FunctionalSample:
     """Truncated Karhunen-Loeve Wiener paths sum_j sqrt(lambda_j) Z_j sqrt(2) sin((j-0.5) pi t)."""
     draws = rng.generator().standard_normal((n, J))
-    return _kl_sample(grid, draws, wiener_eigenvalues(J), wiener_basis(grid, J))
+    return _kl_sample(grid, draws, wiener_eigenvalues(J), _wiener_basis_on(grid.points.tobytes(), J))
 
 
 def fourier_sine_basis(grid: Grid, J: int) -> np.ndarray:

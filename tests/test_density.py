@@ -234,6 +234,42 @@ def test_kde_invariant_under_row_permutation(seed, n, d, family):
     np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from([EPANECHNIKOV, TRUNCATED_GAUSSIAN, GAUSSIAN]),
+    h=st.floats(min_value=0.05, max_value=5.0),
+    offset=st.floats(min_value=0.0, max_value=1000.0),
+)
+def test_kde_stays_between_zero_and_the_kernel_peak(seed, n, d, family, h, offset):
+    # 0 <= f_hat <= K(0) / h^d, each kernel term lying in [0, K(0)].  The
+    # hard case is a target on n identical sample points `offset`
+    # bandwidths from the origin, mirrored by n more at minus that point so
+    # that the sample mean, where the evaluator centres, stays at the
+    # origin: the GEMM then cancels squared norms of up to 10^6 to get
+    # u^2 = 0, and without the clamp its rounding can give -u^2/2 > 0 and a
+    # kernel term above K(0).
+    rng = np.random.default_rng(seed)
+    kernel = KernelSpec(family, d)
+    peak = kernel_profile(kernel, 0.0) / h**d
+    direction = rng.standard_normal(d)
+    at = offset * h * direction / np.linalg.norm(direction)
+    clusters = np.vstack([np.tile(at, (n, 1)), np.tile(-at, (n, 1))])
+    spread = rng.standard_normal((n, d)) * h * rng.uniform(0.1, 3.0)
+    points = np.vstack([at, -at, spread, rng.uniform(-3.0, 3.0, size=(5, d)) * h])
+    for sample in (clusters, spread):
+        values = kde_evaluate_many(DensityEstimator(ScoreMatrix(sample), h, kernel), points)
+        assert np.all(values >= 0.0)
+        assert np.all(values <= peak * (1.0 + 1e-14))
+    # Half of the clusters' kernel terms sit at the target, the other half
+    # 2 * offset bandwidths away, where the kernel is no higher.
+    at_target = kde_evaluate_many(DensityEstimator(ScoreMatrix(clusters), h, kernel), at[None, :])[0]
+    far = kernel_profile(kernel, 2.0 * offset) / h**d
+    assert at_target <= 0.5 * (peak + far) * (1.0 + 1e-14)
+
+
 def _gamma_form_mass(d):
     """int_0^1 exp(-u^2/2) u^(d-1) du as 2^(d/2-1) Gamma(d/2) P(d/2, 1/2)."""
     return 2.0 ** (0.5 * d - 1.0) * math.gamma(0.5 * d) * gammainc(0.5 * d, 0.5)

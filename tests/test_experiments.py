@@ -128,6 +128,36 @@ class TestRunExperiment:
         assert res.rmsep_mean[1] == pytest.approx(float(draws.mean()))
         assert res.rmsep_std[1] == pytest.approx(float(draws.std(ddof=1)))
 
+    def test_wiener_study_matches_recorded_values(self):
+        # Recorded from the evaluator that summed each kernel row with numpy's
+        # pairwise sum and built the targets in every replication; the
+        # four-pass GEMM/GEMV evaluator and the cached study inputs must give
+        # the same study to 1e-12.
+        cfg = ExperimentConfig(ProcessSpec(kind="wiener"), n=200, d_values=(1, 2, 3), replications=5, base_seed=3)
+        res = run_experiment(cfg)
+        assert res.config_sha == "55010cb16f1d2c3cea1e4e9e15dc702e8ed27aa1a3205bb06456df9f4beece72"
+        rtol = 1e-12
+        np.testing.assert_allclose(
+            [res.rmsep_mean[d] for d in (1, 2, 3)],
+            [0.0073287356071743874, 0.08734956587358284, 0.3149897142397638],
+            rtol=rtol, atol=0.0,
+        )
+        np.testing.assert_allclose(
+            [res.rmsep_std[d] for d in (1, 2, 3)],
+            [0.0037522864130920095, 0.009946822752567173, 0.03367072429100251],
+            rtol=rtol, atol=0.0,
+        )
+        assert res.ape_mean.shape == (160,)
+        np.testing.assert_allclose(
+            res.ape_mean[::10],
+            [0.7143694196937178, 0.7922882978037229, 0.9119458460044643, 0.44320184860042533,
+             0.18519941242916443, 0.07383996177485577, 0.07979490738699686, 0.04380980398582375,
+             0.044338482155266354, 0.08497455466858692, 0.0722051156781646, 0.13000106000058892,
+             0.18958070367167545, 0.4390284143219597, 0.7397059766456939, 1.2419547708830156],
+            rtol=rtol, atol=0.0,
+        )
+        assert res.ape_mean.sum() == pytest.approx(88.20625808172008, rel=rtol, abs=0.0)
+
 
 class TestCsvWriters:
     def test_table_and_ape_outputs(self, tmp_path):

@@ -360,3 +360,15 @@ def test_temporaries_stay_one_block(traced_peak):
     assert peak < 1.5 * block
     projected, peak = traced_peak(lambda: scores(sample, system, 3))
     assert peak - projected.entries.nbytes < 1.5 * block
+
+
+def test_fit_takes_the_sample_mean_once(unit_grid, monkeypatch):
+    # The covariance centres at the mean the fit already took, bit for bit as if it took its own.
+    sample = sample_wiener(50, unit_grid, 20, SeededRng(34, 0))
+    mean = empirical_mean(sample)
+    assert empirical_covariance(sample, mean).tobytes() == empirical_covariance(sample).tobytes()
+    calls = []
+    monkeypatch.setattr("smallball.fpca.empirical_mean", lambda s: calls.append(s) or mean)
+    system = fit_fpca(sample)
+    assert len(calls) == 1
+    assert system.mean.tobytes() == mean.values.tobytes()

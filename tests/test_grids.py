@@ -14,6 +14,7 @@ from smallball import (
     FunctionalSample,
     Grid,
     GridMismatchError,
+    grids,
     inner_product,
     norm,
     read_sample_csv,
@@ -328,6 +329,46 @@ def test_read_peak_memory_under_twice_the_values(tmp_path, traced_peak):
     back, peak = traced_peak(lambda: read_sample_csv(path))
     assert back.values.tobytes() == sample.values.tobytes()
     assert peak < 2 * back.values.nbytes
+
+
+def test_finiteness_check_stays_one_block(traced_peak):
+    # A check over the whole array would build a 4 MB bool temporary here.
+    grid = Grid.uniform(0.0, 1.0, 100)
+    values = np.random.default_rng(7).standard_normal((40_000, grid.size))
+    sample, peak = traced_peak(lambda: FunctionalSample(grid, values))
+    assert sample.values is values
+    assert peak <= grids._ROW_BLOCK_FLOATS + 2**16
+    bad = values.copy()
+    bad[-1, -1] = np.nan  # in the last block
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        FunctionalSample(grid, bad)
+
+
+def test_a_read_checks_finiteness_once(tmp_path, monkeypatch):
+    path = tmp_path / "sample.csv"
+    write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 5), np.arange(20.0).reshape(4, 5)), path)
+    checks = []
+    real = grids._all_finite
+    monkeypatch.setattr(grids, "_all_finite", lambda values: checks.append(values.shape) or real(values))
+    read_sample_csv(path)
+    assert checks == [(4, 5)]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("0.0,1.0,0.5\n1.0,2.0,3.0\n", "grid points must be strictly increasing"),
+        ("0.0,1.0,0.5\n1.0,nan,3.0\n", "line 2: values must be finite"),
+        ("0.0,nan,1.0\n1.0,2.0,3.0\n", "line 1: values must be finite"),
+        ("0.0\n1.0\n", "a grid needs at least 2 points"),
+    ],
+)
+def test_grid_faults_keep_their_errors(tmp_path, text, error):
+    # A nan or inf is reported with its line even where the grid is also bad.
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=error):
+        read_sample_csv(path)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

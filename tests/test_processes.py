@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from smallball import (
+    Grid,
     ProcessSpec,
     SeededRng,
     default_b_grid,
@@ -21,7 +22,8 @@ from smallball import (
     wiener_eigenvalues,
     wiener_tail_mass,
 )
-from smallball.processes import fourier_sine_basis, sine_basis_function
+from smallball import processes
+from smallball.processes import fourier_sine_basis, sine_basis_function, wiener_basis
 
 
 class TestDrawScalar:
@@ -89,6 +91,19 @@ class TestWienerProcess:
         sample = sample_wiener(2000, unit_grid, 50, SeededRng(14, 0))
         estimate = sample.values[:, -1].var()
         assert abs(estimate - truncated_var) < 0.1
+
+    def test_basis_is_built_once_per_grid_and_j(self, unit_grid):
+        processes._wiener_basis_on.cache_clear()
+        first = sample_wiener(30, unit_grid, 20, SeededRng(15, 0))
+        again = sample_wiener(30, Grid(unit_grid.points.copy()), 20, SeededRng(15, 0))
+        info = processes._wiener_basis_on.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        draws = SeededRng(15, 0).generator().standard_normal((30, 20)) * np.sqrt(wiener_eigenvalues(20))
+        built = draws @ wiener_basis(unit_grid, 20)
+        assert first.values.tobytes() == again.values.tobytes() == built.tobytes()
+        sample_wiener(30, Grid.uniform(0.0, 2.0, 100), 20, SeededRng(15, 0))
+        sample_wiener(30, unit_grid, 21, SeededRng(15, 0))
+        assert processes._wiener_basis_on.cache_info().currsize == 3
 
     def test_tail_mass(self):
         assert wiener_tail_mass(50) == pytest.approx(0.002, abs=3e-4)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import smallball
 from smallball import cli, experiments
-from smallball.experiments import ExperimentConfig, run_replication
+from smallball.experiments import ExperimentConfig, run_experiment, run_replication
 from smallball.processes import ProcessSpec
 
 SOURCES = sorted(Path(smallball.__file__).parent.glob("*.py"))
@@ -103,6 +104,25 @@ def test_every_density_estimate_goes_through_traced_sites(tmp_path, monkeypatch)
     config = ExperimentConfig(ProcessSpec("wiener", J=5), n=30, d_values=(1, 2), replications=1)
     # One projection of the sample and one of the targets, at the largest d.
     assert counts(lambda: run_replication(config, 0)) == (2, 2, 2)
+
+    # A study reaches the same sites once per replication and per d, and
+    # builds its targets once per (kind, dist), not once per replication or
+    # per seed.
+    per_study = dict.fromkeys(("sample_process", "fit_fpca", "target_curves"), 0)
+    for name in per_study:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            per_study[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    experiments._study_inputs.cache_clear()
+    study = ExperimentConfig(ProcessSpec("wiener", J=5), n=30, d_values=(1, 2), replications=3, base_seed=4)
+    assert counts(lambda: run_experiment(study)) == (6, 6, 6)
+    assert per_study == {"sample_process": 3, "fit_fpca": 3, "target_curves": 1}
+    entries = experiments._study_inputs.cache_info().currsize
+    assert counts(lambda: run_experiment(dataclasses.replace(study, base_seed=5))) == (6, 6, 6)
+    assert per_study == {"sample_process": 6, "fit_fpca": 6, "target_curves": 1}
+    assert experiments._study_inputs.cache_info().currsize == entries == 1
 
 
 def test_all_lists_importable_names_only():
