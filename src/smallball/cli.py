@@ -134,8 +134,11 @@ class OutputWriter:
             "outputs": {},
         }
 
-    def write(self, name: str, producer) -> str:
-        """Produce ``name`` via a temp file + rename; record its SHA-256."""
+    def _place(self, name: str, producer) -> str:
+        """Run ``producer(tmp)`` on a temp file in the output directory, then rename it to ``name``.
+
+        The temp file is removed if the producer or the rename fails.
+        """
         final = os.path.join(self.out_dir, name)
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=name + ".", suffix=".tmp")
         os.close(fd)
@@ -145,6 +148,11 @@ class OutputWriter:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        return final
+
+    def write(self, name: str, producer) -> str:
+        """Produce ``name`` via a temp file + rename; record its SHA-256."""
+        final = self._place(name, producer)
         digest = hashlib.sha256()
         with open(final, "rb") as fh:
             for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
@@ -154,13 +162,13 @@ class OutputWriter:
 
     def finish(self) -> str:
         self.manifest["finished_unix"] = time.time()
-        path = os.path.join(self.out_dir, "manifest.json")
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix="manifest.", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+
+        def dump(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(self.manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+        return self._place("manifest.json", dump)
 
 
 def cmd_simulate(args) -> int:

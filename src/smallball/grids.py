@@ -129,15 +129,6 @@ class FunctionalSample:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_curves(cls, curves: list[Curve]) -> "FunctionalSample":
-        if not curves:
-            raise ValueError("a sample needs at least one curve")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            _require_same_grid(grid, c.grid)
-        return cls(grid, np.stack([c.values for c in curves]))
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -152,10 +143,19 @@ def _row_step(values: np.ndarray) -> int:
     return max(1, min(n, _ROW_BLOCK_FLOATS // width))
 
 
+def _first_nonfinite_row(values: np.ndarray) -> int | None:
+    """Index of the first row of an (n, p) array holding a nan or inf, tested one row block at a time; None if none does."""
+    step = _row_step(values)
+    for start in range(0, values.shape[0], step):
+        block = values[start : start + step]
+        if not np.isfinite(block).all():
+            return start + int(np.argmin(np.isfinite(block).all(axis=1)))
+    return None
+
+
 def _all_finite(values: np.ndarray) -> bool:
     """Whether an (n, p) array holds no nan or inf, tested one row block at a time."""
-    step = _row_step(values)
-    return all(np.isfinite(values[start : start + step]).all() for start in range(0, values.shape[0], step))
+    return _first_nonfinite_row(values) is None
 
 
 def _centered_blocks(values: np.ndarray, center: np.ndarray):
@@ -206,69 +206,55 @@ def _unparseable(lineno: int, line: str) -> CsvFormatError:
     return CsvFormatError(lineno, f"cannot parse value {cell!r} in column {col + 1}")
 
 
-def _first_bad_line(lines) -> CsvFormatError:
-    """The error for the first line that makes a sample CSV unreadable, found line by line.
-
-    Each nonblank line is parsed alone by the same parser.  The checks run in
-    the order a single pass over the file meets them: an unparseable cell or a
-    wrong column count, then a missing curve row (at the line it was due),
-    then the first line holding a nan or inf.
-    """
-    width = nonfinite = None
-    rows = last = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = _parse_rows([line])[0]
-        except ValueError:
-            return _unparseable(lineno, line)
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            return CsvFormatError(lineno, f"expected {width} columns, found {row.size}")
-        if nonfinite is None and not np.isfinite(row).all():
-            nonfinite = lineno
-        rows, last = rows + 1, lineno
-    if rows < 2:
-        return CsvFormatError(last + 1, "need a grid row plus at least one curve row")
-    return CsvFormatError(nonfinite, "values must be finite (found nan or inf)")
-
-
 def read_sample_csv(path) -> FunctionalSample:
     """Read a sample from CSV: first row grid abscissae, one curve per row.
 
     UTF-8, comma separated, '.' decimal point; blank and whitespace-only lines
-    are skipped.  All cells are parsed in one numpy C call that reads the
-    lines straight from the file, so no copy of the text is held.  Malformed
-    content (a cell that does not parse, a row of the wrong width, no curve
-    row, a nan or inf) raises CsvFormatError with the 1-based line number.
+    are skipped.  Files and pipes are read in one pass: the nonblank lines go
+    straight from the open file into one numpy C call that parses every cell,
+    so no copy of the text is held.  Malformed content (a cell that does not
+    parse, a row of the wrong width, no curve row, a nan or inf) raises
+    CsvFormatError with the 1-based line number.
     """
+    linenos: list[int] = []  # the file line of each nonblank line handed to the parser
+    last = ""
     with open(path, "r", encoding="utf-8") as fh:
-        # The error scan re-reads the file from the start; a pipe cannot be
-        # re-read, so its lines are kept instead.
-        seekable = fh.seekable()
-        lines = fh if seekable else fh.readlines()
-        rows = (line for line in lines if line.strip())
-        head = list(itertools.islice(rows, 2))
-        table = None
-        if len(head) == 2:  # a grid row and a curve row; given no lines, loadtxt warns
+
+        def nonblank():
+            nonlocal last
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    linenos.append(lineno)
+                    last = line
+                    yield line
+
+        rows = nonblank()
+        head = list(itertools.islice(rows, 1))  # given no lines at all, loadtxt warns
+        try:
+            table = _parse_rows(itertools.chain(head, rows)) if head else np.empty((0, 0))
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            # The parser refuses a line before it takes the next one, so the
+            # fault is on the last line taken.
             try:
-                table = _parse_rows(itertools.chain(head, rows))
+                found = _parse_rows([last]).shape[1]
             except ValueError:
-                pass
-        if table is not None:
-            # The sample's own check is the one finiteness pass over the values.
-            # Any other refusal (a grid that does not increase) is not a matter
-            # of one line and is raised as it is.
-            try:
-                return FunctionalSample(Grid(table[0]), table[1:])
-            except ValueError:
-                if _all_finite(table):
-                    raise
-        if seekable:
-            fh.seek(0)
-        raise _first_bad_line(lines)
+                raise _unparseable(linenos[-1], last) from None
+            width = _parse_rows(head).shape[1]
+            raise CsvFormatError(linenos[-1], f"expected {width} columns, found {found}") from None
+    if table.shape[0] < 2:
+        raise CsvFormatError((linenos[-1] if linenos else 0) + 1, "need a grid row plus at least one curve row")
+    # The sample's own check is the one finiteness pass over the values.  Any
+    # other refusal (a grid that does not increase) is not a matter of one line
+    # and is raised as it is.
+    try:
+        return FunctionalSample(Grid(table[0]), table[1:])
+    except ValueError:
+        row = _first_nonfinite_row(table)
+        if row is None:
+            raise
+        raise CsvFormatError(linenos[row], "values must be finite (found nan or inf)") from None
 
 
 def write_csv(path, rows, header=None) -> None:

@@ -99,6 +99,18 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"]["sample.csv"] == hashlib.sha256(data).hexdigest()
 
+    def test_failed_outputs_leave_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        writer = smallball.cli.OutputWriter(str(tmp_path), "simulate", 1, None)
+        with pytest.raises(RuntimeError):
+            writer.write("sample.csv", fail)
+        monkeypatch.setattr(smallball.cli.json, "dump", fail)
+        with pytest.raises(RuntimeError):
+            writer.finish()
+        assert os.listdir(tmp_path) == []
+
     def test_requires_seed(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("simulate", "--out", str(out)) == 1

@@ -127,13 +127,6 @@ class TestCurveValidation:
         with pytest.raises(ValueError):
             Curve(unit_grid, values)
 
-    def test_sample_shares_grid(self, unit_grid):
-        other = Grid.uniform(0.0, 1.0, 50)
-        with pytest.raises(GridMismatchError):
-            FunctionalSample.from_curves(
-                [Curve(unit_grid, np.zeros(100)), Curve(other, np.zeros(50))]
-            )
-
 
 class TestInnerProduct:
     def test_unit_norm_sine(self, sine_grid):
@@ -288,14 +281,25 @@ class TestCsv:
         assert err.value.line == 1
 
 
-def _read_through_pipe(tmp_path, text: str):
-    """read_sample_csv of ``text`` fed through a named pipe by a writer thread."""
+def _read_through_pipe(tmp_path, text: str, read=read_sample_csv):
+    """``read(fifo)`` of ``text`` fed through a named pipe, one line at a time, by a writer thread.
+
+    The lines are split before the writer starts, so a reader measured inside
+    ``read`` does not count a copy of the text.
+    """
     fifo = tmp_path / "sample.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+    lines = text.splitlines(keepends=True)
+
+    def write():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+
+    writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        return read_sample_csv(fifo)
+        return read(fifo)
     finally:
         writer.join(timeout=10)
         assert not writer.is_alive()
@@ -303,7 +307,7 @@ def _read_through_pipe(tmp_path, text: str):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 class TestCsvPipe:
-    # A pipe cannot be rewound for the error scan, so the reader keeps its lines.
+    # A pipe is read in the same single pass as a file, errors and all.
     def test_pipe_reads_like_the_file(self, tmp_path, unit_grid):
         sample = FunctionalSample(unit_grid, np.random.default_rng(5).standard_normal((40, unit_grid.size)))
         path = tmp_path / "sample.csv"
@@ -318,6 +322,61 @@ class TestCsvPipe:
         with pytest.raises(CsvFormatError) as err:
             _read_through_pipe(tmp_path, text)
         assert str(err.value) == "line 5: cannot parse value 'x' in column 2"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("x,0.5,1.0\n1.0,2.0,3.0\n", "line 1: cannot parse value 'x' in column 1"),
+            ("0.0,0.5,1.0\n1.0,2.0\n4.0,5.0,6.0\n", "line 2: expected 3 columns, found 2"),
+            ("0.0,0.5,1.0\n1.0,2.0,3.0\n\n4.0,nan,6.0\n7.0,8.0,9.0\n", "line 4: values must be finite (found nan or inf)"),
+        ],
+        ids=["bad cell on line 1", "short row on line 2", "nan on a later line"],
+    )
+    def test_fault_is_named(self, tmp_path, text, error):
+        with pytest.raises(CsvFormatError) as err:
+            _read_through_pipe(tmp_path, text)
+        assert str(err.value) == error
+
+    def test_read_peak_memory_under_twice_the_values(self, tmp_path, traced_peak):
+        # The lines are parsed as they arrive: no list of them is held.
+        grid = Grid.uniform(0.0, 1.0, 100)
+        sample = FunctionalSample(grid, np.random.default_rng(6).standard_normal((2000, grid.size)))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        text = path.read_text(encoding="utf-8")
+        back, peak = _read_through_pipe(tmp_path, text, read=lambda fifo: traced_peak(lambda: read_sample_csv(fifo)))
+        assert back.values.tobytes() == sample.values.tobytes()
+        assert peak < 2 * back.values.nbytes
+
+
+# A short row 0 sets the width, so row 1 is the one refused.
+@pytest.mark.parametrize("fault, first_refusable", [("1.0,x,3.0\n", 0), ("1.0,2.0\n", 1)], ids=["bad cell", "short row"])
+@pytest.mark.parametrize("row", [0, 1, 2, 25, 49])
+def test_parser_refuses_a_line_before_taking_the_next(fault, first_refusable, row):
+    lines = ["1.0,2.0,3.0\n"] * 50
+    lines[row] = fault
+    taken = []
+
+    def counting():
+        for line in lines:
+            taken.append(line)
+            yield line
+
+    with pytest.raises(ValueError):
+        grids._parse_rows(counting())
+    refused = max(row, first_refusable)
+    assert len(taken) == refused + 1, (
+        f"the parser took {len(taken)} lines to refuse row {refused}; "
+        "read_sample_csv names the last line it handed over as the bad one, so its line numbers depend on this"
+    )
+
+
+def test_undecodable_bytes_past_the_first_read_raise_as_they_are(tmp_path):
+    # The bad byte lies beyond the first chunk the text layer decodes, so it is met inside the parser's pass.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"0.0,1.0\n" + b"1.0,2.0\n" * 4000 + b"\xff,3.0\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_sample_csv(path)
 
 
 def test_read_peak_memory_under_twice_the_values(tmp_path, traced_peak):
