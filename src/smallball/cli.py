@@ -23,7 +23,7 @@ import time
 from . import __version__
 from ._blas import blas_threads, one_blas_thread
 # kde_evaluate_many and resolve_bandwidth are unused here; perfbench/spans.py patches them at this site.
-from .density import EPANECHNIKOV, GAUSSIAN, kde_evaluate_many, resolve_bandwidth
+from .density import EPANECHNIKOV, kde_evaluate_many, resolve_bandwidth
 from .experiments import (
     ExperimentConfig,
     ReplicationError,
@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .fpca import fit_fpca, scores, select_dimension_fev, write_eigensystem_csv
 from .grids import FunctionalSample, read_sample_csv, write_csv, write_sample_csv
-from .processes import SINE, STD_NORMAL, ProcessSpec, SeededRng, default_grid, sample_process
+from .processes import SINE, ProcessSpec, SeededRng, default_grid, sample_process
 from .smbp import factorize
 
 
@@ -81,21 +81,6 @@ def _number(key: str, text: str, kind):
     raise CliError(f"config value {key} = {text!r} is not {noun}")
 
 
-def _config_number(cfg: dict, key: str, kind, default=None):
-    """cfg[key] as a number, or ``default`` when the key is absent."""
-    return _number(key, cfg[key], kind) if key in cfg else default
-
-
-def _config_numbers(cfg: dict, key: str, kind, default=()) -> list:
-    """The comma list cfg[key] as numbers, or ``default`` when the key is absent."""
-    if key not in cfg:
-        return list(default)
-    values = [_number(key, v.strip(), kind) for v in cfg[key].split(",") if v.strip()]
-    if not values:
-        raise CliError(f"config value {key} is empty")
-    return values
-
-
 def _bandwidth(text: str):
     """A number is an explicit bandwidth; other text names a rule (resolve_bandwidth checks both)."""
     try:
@@ -104,18 +89,41 @@ def _bandwidth(text: str):
         return text
 
 
+# How each config key is read: one int or float, a comma list of them ([kind]), or text.
+_CONFIG_KEYS = {
+    "process": str, "dist": str, "J": int, "lambdas": [float], "q": float,
+    "seed": int, "n": [int], "d": [int], "reps": int, "kernel": str, "bandwidth": _bandwidth,
+}
+
+
+def _config_values(args, **flags) -> tuple[dict, dict]:
+    """The --config file as written, and every key in it parsed, with each flag given in place of its key."""
+    cfg = load_config(args.config) if args.config else {}
+    values = {}
+    for key, text in cfg.items():
+        kind = _CONFIG_KEYS.get(key)
+        if kind is None:
+            raise CliError(f"unknown config key {key!r}; the keys are {', '.join(_CONFIG_KEYS)}")
+        if isinstance(kind, list):
+            values[key] = [_number(key, v.strip(), kind[0]) for v in text.split(",") if v.strip()]
+            if not values[key]:
+                raise CliError(f"config value {key} is empty")
+        else:
+            values[key] = _number(key, text, kind) if kind in (int, float) else kind(text)
+    values.update((k, [v] if isinstance(_CONFIG_KEYS[k], list) else v) for k, v in flags.items() if v is not None)
+    if "seed" not in values:
+        raise CliError(f"{args.command} needs a seed: pass --seed or put seed = in the config")
+    return cfg, values
+
+
+def _process_spec(values: dict) -> ProcessSpec:
+    """The named process (sine if none), given only the fields that were set."""
+    fields = {k: values[k] for k in ("dist", "J", "lambdas", "q") if k in values}
+    return ProcessSpec(values.get("process", SINE), **fields)
+
+
 def _score_header(d: int) -> list[str]:
     return [f"score_{j + 1}" for j in range(d)]
-
-
-def process_spec_from_config(cfg: dict) -> ProcessSpec:
-    return ProcessSpec(
-        kind=cfg.get("process", SINE),
-        dist=cfg.get("dist", STD_NORMAL),
-        J=_config_number(cfg, "J", int, 50),
-        lambdas=tuple(_config_numbers(cfg, "lambdas", float)),
-        q=_config_number(cfg, "q", float, 2.0),
-    )
 
 
 class OutputWriter:
@@ -172,14 +180,13 @@ class OutputWriter:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
-    if seed is None:
-        raise CliError("simulate needs a seed: pass --seed or put seed= in the config")
-    spec = process_spec_from_config(cfg)
-    n = args.n if args.n is not None else _config_number(cfg, "n", int, 100)
-    sample = sample_process(spec, n, default_grid(spec.kind), SeededRng(seed, 0))
-    writer = OutputWriter(args.out, "simulate", seed, cfg)
+    cfg, values = _config_values(args, seed=args.seed, n=args.n)
+    spec = _process_spec(values)
+    n_values = values.get("n", [100])
+    if len(n_values) > 1:
+        raise CliError(f"simulate draws one sample: config value n = {cfg['n']!r} must be one size")
+    sample = sample_process(spec, n_values[0], default_grid(spec.kind), SeededRng(values["seed"], 0))
+    writer = OutputWriter(args.out, "simulate", values["seed"], cfg)
     writer.write("sample.csv", lambda p: write_sample_csv(sample, p))
     writer.finish()
     return 0
@@ -261,33 +268,21 @@ def cmd_smbp(args) -> int:
 def cmd_experiment(args) -> int:
     if args.config is None:
         raise CliError("experiment needs --config")
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _config_number(cfg, "seed", int)
-    if seed is None:
-        raise CliError("experiment mode requires an explicit seed: pass --seed or seed= in the config")
-    spec = process_spec_from_config(cfg)
-    if "n" not in cfg:
+    cfg, values = _config_values(
+        args, seed=args.seed, reps=args.replications, kernel=args.kernel, bandwidth=args.bandwidth
+    )
+    spec = _process_spec(values)
+    if "n" not in values:
         raise CliError("experiment config needs n= (one value or a comma list)")
-    n_values = _config_numbers(cfg, "n", int)
-    d_values = tuple(_config_numbers(cfg, "d", int, (1,)))
-    reps = args.replications if args.replications is not None else _config_number(cfg, "reps", int, 200)
-    kernel = args.kernel if args.kernel is not None else cfg.get("kernel", GAUSSIAN)
-    bandwidth = args.bandwidth if args.bandwidth is not None else _bandwidth(cfg.get("bandwidth", "normal-scale"))
+    fields = {"reps": "replications", "kernel": "kernel_family", "bandwidth": "bandwidth_rule"}
+    given = {field: values[key] for key, field in fields.items() if key in values}
     # Every n is validated before the first study runs.
     configs = [
-        ExperimentConfig(
-            process=spec,
-            n=n,
-            d_values=d_values,
-            replications=reps,
-            base_seed=seed,
-            kernel_family=kernel,
-            bandwidth_rule=bandwidth,
-        )
-        for n in n_values
+        ExperimentConfig(process=spec, n=n, d_values=values.get("d", [1]), base_seed=values["seed"], **given)
+        for n in values["n"]
     ]
     results = [run_experiment(config, threads=args.threads) for config in configs]
-    writer = OutputWriter(args.out, "experiment", seed, cfg)
+    writer = OutputWriter(args.out, "experiment", values["seed"], cfg)
     table_name = "table1.csv" if spec.kind == SINE else "table2.csv"
     table_writer = write_table1_csv if spec.kind == SINE else write_table2_csv
     writer.write(table_name, lambda p: table_writer(results, p))

@@ -16,7 +16,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -139,13 +139,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         payload = {
-            "process": {
-                "kind": self.process.kind,
-                "dist": self.process.dist,
-                "J": self.process.J,
-                "lambdas": list(self.process.lambdas),
-                "q": self.process.q,
-            },
+            "process": asdict(self.process),
             "n": self.n,
             "d_values": list(self.d_values),
             "replications": self.replications,

@@ -197,12 +197,16 @@ def _parse_rows(lines, usecols=None) -> np.ndarray:
 
 
 def _unparseable(lineno: int, line: str) -> CsvFormatError:
-    """The error for a line the parser refuses, naming its first bad cell and 1-based column."""
+    """The error for a line the parser refuses, naming its first bad cell, or the byte in it that is not UTF-8."""
     for col, cell in enumerate(line.strip().split(",")):
         try:
             _parse_rows([line], usecols=col)
         except ValueError:
             break
+    # The file is read with errors="surrogateescape": a byte that is not UTF-8 arrives as a lone surrogate.
+    escaped = next((c for c in cell if "\udc80" <= c <= "\udcff"), None)
+    if escaped is not None:
+        return CsvFormatError(lineno, f"byte 0x{ord(escaped) - 0xDC00:02x} in column {col + 1} is not UTF-8")
     return CsvFormatError(lineno, f"cannot parse value {cell!r} in column {col + 1}")
 
 
@@ -213,12 +217,12 @@ def read_sample_csv(path) -> FunctionalSample:
     are skipped.  Files and pipes are read in one pass: the nonblank lines go
     straight from the open file into one numpy C call that parses every cell,
     so no copy of the text is held.  Malformed content (a cell that does not
-    parse, a row of the wrong width, no curve row, a nan or inf) raises
-    CsvFormatError with the 1-based line number.
+    parse, a byte that is not UTF-8, a row of the wrong width, no curve row, a
+    nan or inf) raises CsvFormatError with the 1-based line number.
     """
     linenos: list[int] = []  # the file line of each nonblank line handed to the parser
     last = ""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
 
         def nonblank():
             nonlocal last
@@ -232,8 +236,6 @@ def read_sample_csv(path) -> FunctionalSample:
         head = list(itertools.islice(rows, 1))  # given no lines at all, loadtxt warns
         try:
             table = _parse_rows(itertools.chain(head, rows)) if head else np.empty((0, 0))
-        except UnicodeDecodeError:
-            raise
         except ValueError:
             # The parser refuses a line before it takes the next one, so the
             # fault is on the last line taken.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,9 @@ STD_NORMAL = "std-normal"
 STD_STUDENT_T5 = "std-t5"
 STD_CHISQ8 = "std-chisq8"
 DISTRIBUTIONS = (STD_NORMAL, STD_STUDENT_T5, STD_CHISQ8)
+
+# The ProcessSpec fields each kind reads; a spec leaves every other field at its default.
+_FIELDS_READ = {SINE: ("dist",), WIENER: ("J",), GAUSSIAN_KL: ("J", "lambdas"), EXP_POWER_KL: ("J", "lambdas", "q")}
 
 GRID_POINTS = 100
 B_GRID_POINTS = 160
@@ -63,12 +66,15 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}; choose from {PROCESS_KINDS}")
+        lambdas = tuple(float(v) for v in self.lambdas)
+        object.__setattr__(self, "lambdas", lambdas)
+        for field in fields(self)[1:]:  # every field after kind
+            if field.name not in _FIELDS_READ[self.kind] and getattr(self, field.name) != field.default:
+                raise ValueError(f"a {self.kind} process does not read {field.name}; leave it unset")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.dist!r}; choose from {DISTRIBUTIONS}")
         if self.J < 1:
             raise ValueError("truncation level J must be at least 1")
-        lambdas = tuple(float(v) for v in self.lambdas)
-        object.__setattr__(self, "lambdas", lambdas)
         if self.kind in (GAUSSIAN_KL, EXP_POWER_KL):
             if len(lambdas) < self.J:
                 raise ValueError("need at least J eigenvalues for a KL process")

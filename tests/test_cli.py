@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,9 +15,10 @@ import smallball
 from smallball._blas import one_blas_thread
 from smallball.cli import build_parser, main, parse_config_text
 from smallball.density import EPANECHNIKOV
-from smallball.experiments import estimate_surrogate_density
+from smallball.experiments import ExperimentConfig, estimate_surrogate_density
 from smallball.fpca import fit_fpca
 from smallball.grids import read_sample_csv
+from smallball.processes import ProcessSpec
 
 
 def run_cli(*argv) -> int:
@@ -74,6 +76,102 @@ class TestConfigParsing:
         cfg.write_text("n = ,\n")
         assert run_cli("experiment", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == "error: config value n is empty\n"
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("experiment", "process = sine\nn = 20\nrep = 2\n", "rep"),
+            ("experiment", "process = sine\nn = 20\nbandwith = 0.3\n", "bandwith"),
+            ("experiment", "process = sine\nn = 20\nkernal = epanechnikov-radial\n", "kernal"),
+            ("simulate", "process = wiener\nj = 20\n", "j"),
+        ],
+        ids=["rep", "bandwith", "kernal", "j"],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown config key {key!r}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, flags, key, value",
+        [
+            ("simulate", "seed = x\n", ["--seed", "1"], "seed", "x"),
+            ("simulate", "n = 1.5\n", ["--seed", "1", "--n", "3"], "n", "1.5"),
+            ("experiment", "seed = x\nn = 20\n", ["--seed", "1"], "seed", "x"),
+            ("experiment", "n = 20\nreps = two\n", ["--seed", "1", "--replications", "2"], "reps", "two"),
+        ],
+        ids=["simulate-seed", "simulate-n", "experiment-seed", "experiment-reps"],
+    )
+    def test_bad_value_refused_where_a_flag_replaces_it(self, tmp_path, capsys, command, text, flags, key, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: config value {key} = {value!r} is not an integer\n"
+        assert not out.exists()
+
+    # Every setting given, so each flag below replaces a value the config holds.
+    STUDY = "process = sine\nn = 20\nreps = 3\nseed = 1\nkernel = gaussian-radial\nbandwidth = 0.5\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--seed", "2", "base_seed", 2),
+            ("--replications", "2", "replications", 2),
+            ("--kernel", "epanechnikov-radial", "kernel_family", "epanechnikov-radial"),
+            ("--bandwidth", "rate", "bandwidth_rule", "rate"),
+            ("--bandwidth", "0.25", "bandwidth_rule", 0.25),
+        ],
+        ids=["seed", "replications", "kernel", "bandwidth-rule", "bandwidth-number"],
+    )
+    def test_flag_replaces_its_key(self, tmp_path, flag, value, field, expected):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.STUDY)
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), flag, value, "--out", str(out)) == 0
+        from_config = ExperimentConfig(
+            ProcessSpec("sine"), n=20, d_values=(1,), replications=3, base_seed=1,
+            kernel_family="gaussian-radial", bandwidth_rule=0.5,
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha"] == [dataclasses.replace(from_config, **{field: expected}).config_hash()]
+        assert manifest["config_sha"] != [from_config.config_hash()]
+
+    def test_n_flag_replaces_its_key(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 12\nseed = 3\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--n", "5", "--out", str(out)) == 0
+        assert read_sample_csv(out / "sample.csv").n == 5
+
+    def test_simulate_refuses_a_list_of_n(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 10, 20\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "n = '10, 20'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_process_field_its_kind_does_not_read_refused(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("process = wiener\ndist = std-chisq8\nq = 7\nlambdas = 9, 8\nn = 30\n")
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: a wiener process does not read dist; leave it unset\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_one_seed_message(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 30\n")
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {command} needs a seed: pass --seed or put seed = in the config\n"
 
 
 class TestSimulate:
@@ -470,6 +568,14 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "d=2" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        sample = tmp_path / "bad.csv"
+        sample.write_bytes(b"0.0,1.0,2.0\n" + b"1.0,2.0,3.0\n" * 4000 + b"1,\xff,3\n")
+        out = tmp_path / "fpca"
+        assert run_cli("fpca", "--input", str(sample), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: line 4002: byte 0xff in column 2 is not UTF-8\n"
         assert not out.exists()
 
     def test_density_d_beyond_numerical_rank(self, tmp_path, capsys):

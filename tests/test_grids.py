@@ -285,14 +285,15 @@ def _read_through_pipe(tmp_path, text: str, read=read_sample_csv):
     """``read(fifo)`` of ``text`` fed through a named pipe, one line at a time, by a writer thread.
 
     The lines are split before the writer starts, so a reader measured inside
-    ``read`` does not count a copy of the text.
+    ``read`` does not count a copy of the text.  A lone surrogate in ``text``
+    is written as the byte it escapes.
     """
     fifo = tmp_path / "sample.fifo"
     os.mkfifo(fifo)
     lines = text.splitlines(keepends=True)
 
     def write():
-        with open(fifo, "w", encoding="utf-8") as fh:
+        with open(fifo, "w", encoding="utf-8", errors="surrogateescape") as fh:
             for line in lines:
                 fh.write(line)
 
@@ -371,12 +372,23 @@ def test_parser_refuses_a_line_before_taking_the_next(fault, first_refusable, ro
     )
 
 
-def test_undecodable_bytes_past_the_first_read_raise_as_they_are(tmp_path):
-    # The bad byte lies beyond the first chunk the text layer decodes, so it is met inside the parser's pass.
+# The bad byte lies beyond the first 8 KiB chunk the text layer decodes, so it is met inside the parser's pass.
+UNDECODABLE = "0.0,1.0,2.0\n" + "1.0,2.0,3.0\n" * 4000 + "1,\udcff,3\n" + "4.0,5.0,6.0\n"
+
+
+def test_undecodable_bytes_past_the_first_read_name_their_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"0.0,1.0\n" + b"1.0,2.0\n" * 4000 + b"\xff,3.0\n")
-    with pytest.raises(UnicodeDecodeError):
+    path.write_bytes(UNDECODABLE.encode("utf-8", "surrogateescape"))
+    with pytest.raises(CsvFormatError) as err:
         read_sample_csv(path)
+    assert str(err.value) == "line 4002: byte 0xff in column 2 is not UTF-8"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_undecodable_bytes_in_a_pipe_name_their_line(tmp_path):
+    with pytest.raises(CsvFormatError) as err:
+        _read_through_pipe(tmp_path, UNDECODABLE)
+    assert str(err.value) == "line 4002: byte 0xff in column 2 is not UTF-8"
 
 
 def test_read_peak_memory_under_twice_the_values(tmp_path, traced_peak):

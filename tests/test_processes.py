@@ -165,6 +165,34 @@ class TestProcessSpec:
         with pytest.raises(ValueError):
             ProcessSpec(kind="exp-power-kl", J=1, lambdas=(1.0,), q=1.5)
 
+    # Valid settings of each kind, and a value other than the default for each field.
+    READ = {
+        "sine": {"dist": "std-t5"},
+        "wiener": {"J": 7},
+        "gaussian-kl": {"J": 2, "lambdas": (1.0, 0.5)},
+        "exp-power-kl": {"J": 2, "lambdas": (1.0, 0.5), "q": 3.0},
+    }
+    OTHER = {"dist": "std-chisq8", "J": 7, "lambdas": (9.0, 8.0), "q": 7.0}
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("sine", "J"), ("sine", "lambdas"), ("sine", "q"),
+            ("wiener", "dist"), ("wiener", "lambdas"), ("wiener", "q"),
+            ("gaussian-kl", "dist"), ("gaussian-kl", "q"),
+            ("exp-power-kl", "dist"),
+        ],
+    )
+    def test_refuses_a_field_its_kind_does_not_read(self, kind, field):
+        with pytest.raises(ValueError, match=f"^a {kind} process does not read {field}; leave it unset$"):
+            ProcessSpec(kind=kind, **{**self.READ[kind], field: self.OTHER[field]})
+
+    @pytest.mark.parametrize("kind", ["sine", "wiener", "gaussian-kl", "exp-power-kl"])
+    def test_unread_fields_may_be_given_their_defaults(self, kind):
+        defaults = {"dist": "std-normal", "J": 50, "lambdas": [], "q": 2}
+        spec = ProcessSpec(kind=kind, **{**defaults, **self.READ[kind]})
+        assert spec == ProcessSpec(kind=kind, **self.READ[kind])
+
     def test_default_grids(self):
         assert default_grid("sine").b == pytest.approx(math.pi)
         assert default_grid("wiener").b == 1.0
