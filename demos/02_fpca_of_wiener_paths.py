@@ -9,10 +9,11 @@ import numpy as np
 
 from smallball import (
     Grid,
+    ProcessSpec,
     SeededRng,
     fev,
     fit_fpca,
-    sample_wiener,
+    sample_process,
     scores,
     select_dimension_fev,
     wiener_eigenvalues,
@@ -20,7 +21,7 @@ from smallball import (
 )
 
 grid = Grid.uniform(0.0, 1.0, 100)
-sample = sample_wiener(2000, grid, 50, SeededRng(2026, 0))
+sample = sample_process(ProcessSpec("wiener", J=50), 2000, grid, SeededRng(2026, 0))
 system = fit_fpca(sample)
 analytic = wiener_eigenvalues(50)
 

@@ -13,19 +13,20 @@ from smallball import (
     Curve,
     FunctionalSample,
     Grid,
+    ProcessSpec,
     SeededRng,
     empirical_smbp,
     estimate_surrogate_density,
     factorize,
     fit_fpca,
-    sample_gaussian_kl,
+    sample_process,
     select_dimension_hyper,
 )
 
 lam = np.exp(-np.arange(1, 9, dtype=float) ** 2)
 grid = Grid.uniform(0.0, 1.0, 100)
 print("sampling 100000 paths of a Gaussian process with lambda_j = exp(-j^2) ...")
-sample = sample_gaussian_kl(100_000, grid, lam, 8, SeededRng(4, 0))
+sample = sample_process(ProcessSpec("gaussian-kl", J=8, lambdas=lam), 100_000, grid, SeededRng(4, 0))
 system = fit_fpca(sample)
 x = Curve(grid, np.zeros(grid.size))
 center = FunctionalSample(grid, x.values[None, :])

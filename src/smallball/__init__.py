@@ -66,11 +66,7 @@ from .processes import (
     default_b_grid,
     default_grid,
     draw_scalar,
-    sample_exp_power_kl,
-    sample_gaussian_kl,
     sample_process,
-    sample_sine,
-    sample_wiener,
     target_curves,
     true_intensity,
     wiener_eigenvalues,
@@ -137,11 +133,7 @@ __all__ = [
     "default_b_grid",
     "default_grid",
     "draw_scalar",
-    "sample_exp_power_kl",
-    "sample_gaussian_kl",
     "sample_process",
-    "sample_sine",
-    "sample_wiener",
     "target_curves",
     "true_intensity",
     "wiener_eigenvalues",

@@ -185,7 +185,7 @@ class DensityEstimator:
 
 
 def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
-    """Density estimates at an (m, d) array of finite points."""
+    """Density estimates at an (m, d) array of finite points; d and h are named where a float cannot hold them."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = estimator.scores.d
     if pts.shape[1] != d:
@@ -196,6 +196,10 @@ def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
         raise ValueError(f"evaluation point {row} is not finite: {pts[row].tolist()}")
     entries, spec = estimator.scores.entries, estimator.kernel
     n, m, h = entries.shape[0], pts.shape[0], estimator.bandwidth
+    with np.errstate(over="ignore", under="ignore"):
+        normaliser = _profile_constant(spec) * n * np.float64(h) ** d
+    if not 0.0 < normaliser < math.inf:
+        raise ValueError(f"the KDE normaliser c n h^d is {normaliser:g} at d = {d}, h = {h:g}; rescale the curves")
     # Centre on the sample mean and divide by h / sqrt(a) once, so the GEMM
     # below yields v = -a ||x - s||^2 / h^2, the variable of the profile;
     # centring also keeps it from cancelling the squares of a far-off mean.
@@ -216,7 +220,10 @@ def kde_evaluate_many(estimator: DensityEstimator, points) -> np.ndarray:
         np.matmul(left[start:stop], right, out=v)
         np.minimum(v, 0.0, out=v)  # rounding can leave a tiny positive
         np.matmul(_unscaled_profile(spec, v), ones, out=out[start:stop])
-    out /= _profile_constant(spec) * n * h**d
+    with np.errstate(over="ignore"):
+        out /= normaliser
+    if not np.isfinite(out).all():
+        raise ValueError(f"a KDE estimate at d = {d}, h = {h:g} is not finite; rescale the curves")
     return out
 
 

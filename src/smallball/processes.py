@@ -109,12 +109,6 @@ def sine_basis_function(grid: Grid) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * np.sin(grid.points)
 
 
-def sample_sine(n: int, grid: Grid, dist: str, rng: SeededRng) -> FunctionalSample:
-    """n draws of the rank-one process a * sqrt(2/pi) sin(t) with a ~ dist."""
-    a = np.atleast_1d(draw_scalar(dist, rng, size=n))
-    return FunctionalSample(grid, a[:, None] * sine_basis_function(grid)[None, :])
-
-
 def wiener_eigenvalues(J: int) -> np.ndarray:
     """Analytic Wiener covariance spectrum ((j - 0.5) pi)^-2, j = 1..J."""
     j = np.arange(1, J + 1)
@@ -130,33 +124,6 @@ def wiener_basis(grid: Grid, J: int) -> np.ndarray:
 def wiener_tail_mass(J: int) -> float:
     """Variance mass left out by truncating the Wiener expansion at J terms."""
     return 0.5 - float(wiener_eigenvalues(J).sum())
-
-
-def _kl_sample(grid: Grid, draws: np.ndarray, lambdas: np.ndarray, basis: np.ndarray) -> FunctionalSample:
-    """Karhunen-Loeve paths sum_j sqrt(lambda_j) draws_j e_j: one path per row of draws, e_j per row of basis.
-
-    ``draws`` is scaled in place, so no second (n, J) array is allocated.
-    """
-    draws *= np.sqrt(lambdas)[None, :]
-    return FunctionalSample(grid, draws @ basis)
-
-
-@functools.lru_cache(maxsize=4)
-def _wiener_basis_on(points: bytes, J: int) -> np.ndarray:
-    """wiener_basis on the grid with these points (as bytes), read-only.
-
-    Every replication of a study draws on one grid, so they share one entry;
-    the cache keeps the last four (grid, J) pairs.
-    """
-    basis = wiener_basis(Grid(np.frombuffer(points)), J)
-    basis.setflags(write=False)
-    return basis
-
-
-def sample_wiener(n: int, grid: Grid, J: int, rng: SeededRng) -> FunctionalSample:
-    """Truncated Karhunen-Loeve Wiener paths sum_j sqrt(lambda_j) Z_j sqrt(2) sin((j-0.5) pi t)."""
-    draws = rng.generator().standard_normal((n, J))
-    return _kl_sample(grid, draws, wiener_eigenvalues(J), _wiener_basis_on(grid.points.tobytes(), J))
 
 
 def fourier_sine_basis(grid: Grid, J: int) -> np.ndarray:
@@ -180,29 +147,41 @@ def _exp_power_unit_variance(q: float, g: np.random.Generator, shape) -> np.ndar
     return sign * radius / sd
 
 
-def sample_gaussian_kl(n: int, grid: Grid, lambdas, J: int, rng: SeededRng) -> FunctionalSample:
-    """Gaussian KL process sum_{j<=J} sqrt(lambda_j) Z_j e_j on the Fourier sine basis."""
-    draws = rng.generator().standard_normal((n, J))
-    return _kl_sample(grid, draws, np.asarray(lambdas, dtype=float)[:J], fourier_sine_basis(grid, J))
+@functools.lru_cache(maxsize=4)
+def _basis_on(kind: str, points: bytes, J: int) -> np.ndarray:
+    """The read-only Karhunen-Loeve basis of a kind, one row e_j per term, on the grid with these points (as bytes).
 
-
-def sample_exp_power_kl(n: int, grid: Grid, lambdas, q: float, J: int, rng: SeededRng) -> FunctionalSample:
-    """KL process with independent unit-variance exponential-power(q) scores."""
-    if q < 2:
-        raise ValueError("the exponential-power family requires q >= 2")
-    draws = _exp_power_unit_variance(q, rng.generator(), (n, J))
-    return _kl_sample(grid, draws, np.asarray(lambdas, dtype=float)[:J], fourier_sine_basis(grid, J))
+    Every replication of a study draws on one grid, so they share one entry;
+    the cache keeps the last four (kind, grid, J) triples.
+    """
+    grid = Grid(np.frombuffer(points))
+    if kind == SINE:
+        basis = sine_basis_function(grid)[None, :]
+    elif kind == WIENER:
+        basis = wiener_basis(grid, J)
+    else:
+        basis = fourier_sine_basis(grid, J)
+    basis.setflags(write=False)
+    return basis
 
 
 def sample_process(spec: ProcessSpec, n: int, grid: Grid, rng: SeededRng) -> FunctionalSample:
-    """Draw n paths of the specified process on the grid."""
-    if spec.kind == SINE:
-        return sample_sine(n, grid, spec.dist, rng)
+    """Draw n paths sum_j sqrt(lambda_j) xi_j e_j of the specified process on the grid.
+
+    The sine process is the rank-one case lambda_1 = 1 with xi_1 ~ spec.dist. The
+    scores of the other kinds are standard normal, or exponential-power(q) ones.
+    """
+    basis = _basis_on(spec.kind, grid.points.tobytes(), spec.J)
+    shape = (n, basis.shape[0])
+    if spec.kind == EXP_POWER_KL:
+        draws = _exp_power_unit_variance(spec.q, rng.generator(), shape)
+    else:
+        draws = draw_scalar(spec.dist, rng, shape)
     if spec.kind == WIENER:
-        return sample_wiener(n, grid, spec.J, rng)
-    if spec.kind == GAUSSIAN_KL:
-        return sample_gaussian_kl(n, grid, spec.lambdas, spec.J, rng)
-    return sample_exp_power_kl(n, grid, spec.lambdas, spec.q, spec.J, rng)
+        draws *= np.sqrt(wiener_eigenvalues(spec.J))
+    elif spec.kind != SINE:
+        draws *= np.sqrt(spec.lambdas[: spec.J])
+    return FunctionalSample(grid, draws @ basis)
 
 
 def default_b_grid(kind: str, dist: str) -> np.ndarray:

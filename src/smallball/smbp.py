@@ -38,12 +38,17 @@ def _require_eps(eps: float, zero_ok: bool = False) -> None:
 def ball_volume(d: int, eps: float) -> float:
     """Volume of the d-dimensional Euclidean ball of radius eps.
 
-    Evaluated through log-gamma so large d does not overflow.
+    Evaluated through log-gamma so large d does not overflow; a volume that
+    is 0 or infinite as a float is refused.
     """
     if d < 1:
         raise ValueError("dimension d must be at least 1")
     _require_eps(eps)
-    return math.exp(d * math.log(eps) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
+    log_volume = d * math.log(eps) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+    volume = math.exp(log_volume) if log_volume <= math.log(np.finfo(float).max) else math.inf
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"the ball volume V_d(eps) = exp({log_volume:.6g}) at d = {d}, eps = {eps:g} is 0 or infinite")
+    return volume
 
 
 def tail_statistic(x_tail_scores, theta_tail_scores, eps: float):
@@ -57,7 +62,11 @@ def tail_statistic(x_tail_scores, theta_tail_scores, eps: float):
     theta_tail = np.asarray(theta_tail_scores, dtype=float)
     if theta_tail.shape[-1:] != x_tail.shape:
         raise ValueError("tail score vectors must have equal length")
-    s = np.sum((theta_tail - x_tail) ** 2, axis=-1) / eps**2
+    # Scaling the differences and eps by the 2^-k that puts eps in [0.5, 1) is exact, so S keeps
+    # its bytes and eps^2 cannot leave the float range; an S past the largest float is inf.
+    k = math.frexp(eps)[1]
+    with np.errstate(over="ignore"):
+        s = np.sum(np.ldexp(theta_tail - x_tail, -k) ** 2, axis=-1) / math.ldexp(eps, -k) ** 2
     return float(s) if s.ndim == 0 else s
 
 
@@ -285,10 +294,10 @@ def volume_factor(eps: float, d: int, decay: DecayClass, lambda_d: float | None 
             f"volume_factor applies to super/exponential decay only; for {decay.value} "
             "spectra use ball_volume"
         )
-    log_volume = 0.5 * d * (math.log(2.0 * math.pi * math.e * eps**2) - math.log(d))
+    log_volume = 0.5 * d * (math.log(2.0 * math.pi * math.e) + 2.0 * math.log(eps) - math.log(d))
     info = {"bracket_correction_omitted": True, "decay": decay.value}
     if decay is DecayClass.EXPONENTIAL and lambda_d is not None:
-        info["alpha"] = math.sqrt(eps**2 / lambda_d)
+        info["alpha"] = eps / math.sqrt(lambda_d)
     return log_volume, info
 
 
@@ -385,7 +394,8 @@ class FactorizationReport:
                 "correction": self.correction,
                 "phi_d": self.phi_d,
                 "tail_mass_omitted": self.tail_mass_omitted,
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -413,6 +423,8 @@ def factorize(
     psi = correction_factor(sample_scores[:, d:], x_scores[d:], eps, d)
     volume = ball_volume(d, eps)
     phi_d = f_d_at_x * volume * psi
+    if not math.isfinite(phi_d):
+        raise ValueError(f"phi_d = {f_d_at_x:g} * {volume:g} * {psi:g} is not finite at d = {d}, eps = {eps:g}")
     tail_mass = float(np.sum(system.eigenvalues[J:]))
     return FactorizationReport(
         d=d,

@@ -40,9 +40,7 @@ from smallball import (
     kernel_profile,
     rmsep,
     run_experiment,
-    sample_gaussian_kl,
-    sample_sine,
-    sample_wiener,
+    sample_process,
     scores,
     select_dimension_hyper,
     target_curves,
@@ -106,7 +104,7 @@ def test_criterion_02_wiener_fev_table():
     analytic = wiener_eigenvalues(100_000)
     gaps = [abs(fev(analytic, d) - FEV_TABLE[d - 1]) for d in range(1, 7)]
     ok = max(gaps) < 1e-3
-    sample = sample_wiener(2000, Grid.uniform(0.0, 1.0, 100), 50, SeededRng(0, 0))
+    sample = sample_process(ProcessSpec("wiener", J=50), 2000, Grid.uniform(0.0, 1.0, 100), SeededRng(0, 0))
     system = fit_fpca(sample)
     empirical_gaps = [abs(fev(system.eigenvalues, d) - FEV_TABLE[d - 1]) for d in range(1, 7)]
     ok &= max(empirical_gaps) < 0.02
@@ -238,7 +236,7 @@ def test_criterion_05_table2_pattern():
 def test_criterion_06_factorization_convergence():
     lam = np.exp(-np.arange(1, 9, dtype=float) ** 2)
     grid = Grid.uniform(0.0, 1.0, 100)
-    sample = sample_gaussian_kl(200_000, grid, lam, 8, SeededRng(606, 0))
+    sample = sample_process(ProcessSpec("gaussian-kl", J=8, lambdas=lam), 200_000, grid, SeededRng(606, 0))
     x = Curve(grid, np.zeros(grid.size))
     system = fit_fpca(sample)
     errors, hits = [], []
@@ -263,7 +261,7 @@ def test_criterion_06_factorization_convergence():
 
 def test_criterion_07_correction_factor_laws():
     grid = Grid.uniform(0.0, 1.0, 100)
-    sample = sample_wiener(500, grid, 30, SeededRng(707, 0))
+    sample = sample_process(ProcessSpec("wiener", J=30), 500, grid, SeededRng(707, 0))
     system = fit_fpca(sample)
     J = 12
     tails = scores(sample, system, J).entries
@@ -341,7 +339,7 @@ def test_criterion_10_plug_in_stability():
     for n in (200, 1000):
         plug_gaps, kde_gaps = [], []
         for rep in range(100):
-            sample = sample_sine(n, grid, "std-normal", SeededRng(777, rep))
+            sample = sample_process(ProcessSpec("sine"), n, grid, SeededRng(777, rep))
             _, estimated = estimate_surrogate_density(
                 sample, fit_fpca(sample), targets, [1], kernel_family="gaussian-radial"
             )[1]

@@ -17,8 +17,8 @@ from smallball.cli import build_parser, main, parse_config_text
 from smallball.density import EPANECHNIKOV
 from smallball.experiments import ExperimentConfig, estimate_surrogate_density
 from smallball.fpca import fit_fpca
-from smallball.grids import read_sample_csv
-from smallball.processes import ProcessSpec
+from smallball.grids import FunctionalSample, Grid, read_sample_csv, write_sample_csv
+from smallball.processes import ProcessSpec, SeededRng, sample_process
 
 
 def run_cli(*argv) -> int:
@@ -568,6 +568,32 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "d=2" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "units, command, d, flags",
+        [
+            (1e-38, "smbp", 9, ["--eps", "1e-38"]),
+            (1e-38, "density", 9, []),
+            (1.0, "smbp", 1, ["--eps", "1e308"]),
+            (1.0, "smbp", 9, ["--eps", "1e40"]),
+        ],
+    )
+    def test_estimate_outside_the_float_range(self, tmp_path, capsys, units, command, d, flags):
+        # A Wiener sample in units of 1e-38 still has rank >= 9: only the float range stops these runs.
+        grid = Grid.uniform(0.0, 1.0, 100)
+        sample = sample_process(ProcessSpec("wiener"), 200, grid, SeededRng(3, 0))
+        path, target = tmp_path / "sample.csv", tmp_path / "target.csv"
+        write_sample_csv(FunctionalSample(grid, units * sample.values), path)
+        write_sample_csv(FunctionalSample(grid, units * sample.values[:1]), target)
+        out = tmp_path / "out"
+        io = ["--input", str(path), "--targets", str(target)] if command == "density" else [
+            "--input", str(path), "--target", str(target), "--J", "12"]
+        code = run_cli(command, *io, "--d", str(d), *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert re.search(f"at d = {d}, (eps|h) = ", err), err
         assert not out.exists()
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):

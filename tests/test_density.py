@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from smallball import (
     DensityEstimator,
     FunctionalSample,
     KernelSpec,
+    ProcessSpec,
     ScoreMatrix,
     SeededRng,
     bandwidth_normal_scale,
@@ -24,8 +26,7 @@ from smallball import (
     kde_evaluate_many,
     kernel_profile,
     resolve_bandwidth,
-    sample_sine,
-    sample_wiener,
+    sample_process,
     true_intensity,
 )
 from smallball.density import _BLOCK_ELEMENTS, _sphere_surface, _truncated_gaussian_mass
@@ -166,6 +167,19 @@ class TestKdeEvaluate:
         entries[2, 1] = math.nan
         with pytest.raises(ValueError, match="score entries must be finite"):
             DensityEstimator(ScoreMatrix(entries), 1.0, KernelSpec(EPANECHNIKOV, 2))
+
+    @pytest.mark.parametrize("h, d", [(1e-38, 9), (1e40, 9), (1e-200, 2)])
+    def test_normaliser_outside_the_float_range_refused(self, h, d):
+        # n h^d underflows to 0 or overflows: no estimate would mean anything.
+        est = DensityEstimator(ScoreMatrix(np.zeros((3, d))), h, KernelSpec(GAUSSIAN, d))
+        with pytest.raises(ValueError, match=re.escape(f"at d = {d}, h = {h:g}; rescale the curves")):
+            kde_evaluate_many(est, np.zeros((1, d)))
+
+    def test_estimate_past_the_largest_float_refused(self):
+        # h = 1e-310 leaves n h^d a positive float, but 1 / (sqrt(2 pi) h) overflows.
+        est = DensityEstimator(ScoreMatrix(np.zeros((3, 1))), 1e-310, KernelSpec(GAUSSIAN, 1))
+        with pytest.raises(ValueError, match="^a KDE estimate at d = 1, h = 1e-310 is not finite"):
+            kde_evaluate_many(est, [[0.0]])
 
     def test_dimension_mismatch(self):
         est = DensityEstimator(ScoreMatrix(np.zeros((3, 2))), 1.0, KernelSpec(EPANECHNIKOV, 2))
@@ -389,7 +403,7 @@ class TestSurrogateDensityPipeline:
     def test_d_beyond_numerical_rank_is_refused(self, sine_grid):
         # Rank one: every score past the first is rounding noise; a 2-d KDE
         # over that noise read 0.929 at b=0 on this sample, where the truth is 0.399.
-        sample = sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))
+        sample = sample_process(ProcessSpec("sine"), 80, sine_grid, SeededRng(21, 0))
         targets = target_curves("sine", [0.0], sine_grid)
         with pytest.raises(ValueError, match=r"d=2 exceeds the numerical rank 1 of the n=80"):
             estimate_surrogate_density(sample, fit_fpca(sample), targets, [2])
@@ -398,7 +412,7 @@ class TestSurrogateDensityPipeline:
 
     def test_d_list_matches_one_d_at_a_time(self, unit_grid):
         # One projection at the largest d, sliced per d, against a projection at each d.
-        sample = sample_wiener(300, unit_grid, 20, SeededRng(22, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 300, unit_grid, SeededRng(22, 0))
         targets = target_curves("wiener", [-1.0, 0.0, 0.5, 2.0], unit_grid)
         system = fit_fpca(sample)
         together = estimate_surrogate_density(sample, system, targets, (3, 1, 2), GAUSSIAN)
@@ -429,7 +443,7 @@ class TestSurrogateDensityPipeline:
         targets = target_curves("sine", b, sine_grid)
         draws = []
         for rep in range(30):
-            sample = sample_sine(1000, sine_grid, "std-normal", SeededRng(99, rep))
+            sample = sample_process(ProcessSpec("sine"), 1000, sine_grid, SeededRng(99, rep))
             _, values = estimate_surrogate_density(
                 sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
             )[1]
@@ -443,7 +457,7 @@ class TestSurrogateDensityPipeline:
         b = np.linspace(-4.0, 4.0, 160)
         truths = true_intensity("sine", "std-normal", b)
         targets = target_curves("sine", b, sine_grid)
-        sample = sample_sine(n, sine_grid, "std-normal", SeededRng(100, 0))
+        sample = sample_process(ProcessSpec("sine"), n, sine_grid, SeededRng(100, 0))
         _, estimated = estimate_surrogate_density(
             sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
         )[1]
@@ -459,7 +473,7 @@ class TestSurrogateDensityPipeline:
         truths = true_intensity("sine", "std-normal", b)
         ratios = []
         for rep in range(20):
-            sample = sample_sine(500, sine_grid, "std-normal", SeededRng(101, rep))
+            sample = sample_process(ProcessSpec("sine"), 500, sine_grid, SeededRng(101, rep))
             _, estimated = estimate_surrogate_density(
                 sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
             )[1]
@@ -478,7 +492,7 @@ class TestSurrogateDensityPipeline:
         for n in (200, 1000):
             gaps = []
             for rep in range(60):
-                sample = sample_wiener(n, unit_grid, 50, SeededRng(102, rep))
+                sample = sample_process(ProcessSpec("wiener", J=50), n, unit_grid, SeededRng(102, rep))
                 _, estimated = estimate_surrogate_density(
                     sample, fit_fpca(sample), targets, [1], kernel_family=GAUSSIAN, bandwidth_rule="normal-scale"
                 )[1]

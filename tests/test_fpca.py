@@ -10,6 +10,7 @@ from smallball import (
     FunctionalSample,
     Grid,
     KernelSpec,
+    ProcessSpec,
     SeededRng,
     eigendecompose,
     empirical_covariance,
@@ -17,8 +18,7 @@ from smallball import (
     fev,
     fit_fpca,
     kde_evaluate_many,
-    sample_sine,
-    sample_wiener,
+    sample_process,
     scores,
     select_dimension_fev,
     wiener_eigenvalues,
@@ -96,12 +96,12 @@ class TestEigendecompose:
             eigendecompose(cov, unit_grid, mean)
 
     def test_wiener_leading_eigenvalue(self, unit_grid):
-        sample = sample_wiener(2000, unit_grid, 50, SeededRng(0, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 2000, unit_grid, SeededRng(0, 0))
         system = fit_fpca(sample)
         assert abs(system.eigenvalues[0] - 4.0 / np.pi**2) < 0.03
 
     def test_orthonormality_and_descending(self, unit_grid):
-        sample = sample_wiener(300, unit_grid, 50, SeededRng(5, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 300, unit_grid, SeededRng(5, 0))
         system = fit_fpca(sample)
         w = unit_grid.weights
         gram = (system.eigenfunctions * w) @ system.eigenfunctions.T
@@ -109,14 +109,14 @@ class TestEigendecompose:
         assert np.all(np.diff(system.eigenvalues) <= 0)
 
     def test_trace_identity(self, unit_grid):
-        sample = sample_wiener(150, unit_grid, 50, SeededRng(6, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 150, unit_grid, SeededRng(6, 0))
         system = fit_fpca(sample)
         centered = sample.values - sample.values.mean(axis=0)
         total = np.mean(np.sum(unit_grid.weights * centered**2, axis=1))
         assert system.eigenvalues.sum() == pytest.approx(total, rel=1e-8)
 
     def test_covariance_reconstruction(self, unit_grid):
-        sample = sample_wiener(40, unit_grid, 50, SeededRng(7, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 40, unit_grid, SeededRng(7, 0))
         cov = empirical_covariance(sample)
         system = fit_fpca(sample)
         rebuilt = (system.eigenfunctions.T * system.eigenvalues) @ system.eigenfunctions
@@ -135,7 +135,7 @@ class TestScores:
         )
 
     def test_mean_curve_scores_to_zero(self, unit_grid):
-        sample = sample_wiener(50, unit_grid, 20, SeededRng(8, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 50, unit_grid, SeededRng(8, 0))
         system = fit_fpca(sample)
         vec = scores(empirical_mean(sample), system, 5)
         assert np.max(np.abs(vec)) < 1e-12
@@ -147,7 +147,7 @@ class TestScores:
             assert abs(scores(x, system, 1)[0] - b) < 1e-3
 
     def test_column_statistics(self, unit_grid):
-        sample = sample_wiener(400, unit_grid, 50, SeededRng(9, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 400, unit_grid, SeededRng(9, 0))
         system = fit_fpca(sample)
         sm = scores(sample, system, 6)
         assert np.max(np.abs(sm.entries.mean(axis=0))) < 1e-10
@@ -158,14 +158,14 @@ class TestScores:
         assert np.allclose(np.diag(gram), system.eigenvalues[:6], atol=1e-8)
 
     def test_d_out_of_range(self, unit_grid):
-        sample = sample_wiener(10, unit_grid, 10, SeededRng(10, 0))
+        sample = sample_process(ProcessSpec("wiener", J=10), 10, unit_grid, SeededRng(10, 0))
         system = fit_fpca(sample)
         with pytest.raises(ValueError):
             scores(sample, system, unit_grid.size + 1)
 
     def test_sign_flip_leaves_kde_invariant(self, unit_grid):
         """Flipping an eigenfunction flips sample and target scores together."""
-        sample = sample_wiener(200, unit_grid, 30, SeededRng(11, 0))
+        sample = sample_process(ProcessSpec("wiener", J=30), 200, unit_grid, SeededRng(11, 0))
         system = fit_fpca(sample)
         flipped = EigenSystem(
             grid=system.grid,
@@ -220,7 +220,7 @@ class TestSelectDimensionFev:
 
 
 def test_eigensystem_csv_export(tmp_path, unit_grid):
-    sample = sample_wiener(50, unit_grid, 10, SeededRng(12, 0))
+    sample = sample_process(ProcessSpec("wiener", J=10), 50, unit_grid, SeededRng(12, 0))
     system = fit_fpca(sample)
     path = tmp_path / "eig.csv"
     write_eigensystem_csv(system, path)
@@ -233,34 +233,34 @@ def test_eigensystem_csv_export(tmp_path, unit_grid):
 
 def test_sine_sample_is_rank_one():
     grid = Grid.uniform(0.0, np.pi, 100)
-    sample = sample_sine(200, grid, "std-normal", SeededRng(13, 0))
+    sample = sample_process(ProcessSpec("sine"), 200, grid, SeededRng(13, 0))
     system = fit_fpca(sample)
     assert system.eigenvalues[1] / system.eigenvalues[0] < 1e-10
 
 
 def test_rank_bounded_by_sample_size(unit_grid):
-    sample = sample_wiener(40, unit_grid, 50, SeededRng(14, 0))
+    sample = sample_process(ProcessSpec("wiener", J=50), 40, unit_grid, SeededRng(14, 0))
     system = fit_fpca(sample)
     assert np.all(system.eigenvalues[40:] < 1e-12)
 
 
 def test_numerical_rank(unit_grid, sine_grid):
-    assert fit_fpca(sample_sine(80, sine_grid, "std-normal", SeededRng(21, 0))).rank == 1
-    assert fit_fpca(sample_wiener(40, unit_grid, 50, SeededRng(14, 0))).rank == 39
-    assert fit_fpca(sample_wiener(200, unit_grid, 12, SeededRng(14, 0))).rank == 12
+    assert fit_fpca(sample_process(ProcessSpec("sine"), 80, sine_grid, SeededRng(21, 0))).rank == 1
+    assert fit_fpca(sample_process(ProcessSpec("wiener", J=50), 40, unit_grid, SeededRng(14, 0))).rank == 39
+    assert fit_fpca(sample_process(ProcessSpec("wiener", J=12), 200, unit_grid, SeededRng(14, 0))).rank == 12
     assert fit_fpca(FunctionalSample(unit_grid, np.ones((5, unit_grid.size)))).rank == 0
 
 
 def test_units_do_not_decide_acceptance(unit_grid):
     # Rank-deficient (n < p) paths in other units: the rounding noise of the
     # null eigenvalues grows with the scale, and must still be clamped.
-    sample = sample_wiener(50, unit_grid, 50, SeededRng(3, 0))
+    sample = sample_process(ProcessSpec("wiener", J=50), 50, unit_grid, SeededRng(3, 0))
     system = fit_fpca(FunctionalSample(unit_grid, 1e4 * sample.values))
     assert system.rank == 49
     assert np.all(system.eigenvalues >= 0.0)
 
 
-_SCALE_BASE = sample_wiener(30, Grid.uniform(0.0, 1.0, 100), 50, SeededRng(15, 0))
+_SCALE_BASE = sample_process(ProcessSpec("wiener", J=50), 30, Grid.uniform(0.0, 1.0, 100), SeededRng(15, 0))
 _SCALE_FIT = fit_fpca(_SCALE_BASE)
 
 
@@ -274,7 +274,7 @@ def test_scaling_law(c):
     np.testing.assert_allclose(scaled.eigenfunctions[:3], _SCALE_FIT.eigenfunctions[:3], atol=1e-8)
 
 
-_SHIFT_TARGETS = sample_wiener(7, _SCALE_BASE.grid, 50, SeededRng(16, 0))
+_SHIFT_TARGETS = sample_process(ProcessSpec("wiener", J=50), 7, _SCALE_BASE.grid, SeededRng(16, 0))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -322,7 +322,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
     def test_blocked_covariance_and_scores_match_one_shot(self, n, unit_grid, block_rows):
-        sample = sample_wiener(n, unit_grid, 20, SeededRng(30 + n, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), n, unit_grid, SeededRng(30 + n, 0))
         block_rows(self.ROWS, unit_grid.size)
         cov, oracle = empirical_covariance(sample), _one_shot_covariance(sample)
         np.testing.assert_allclose(cov, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
@@ -335,7 +335,7 @@ class TestRowBlocks:
             assert cov.tobytes() == oracle.tobytes() and got.tobytes() == want.tobytes()
 
     def test_curve_scores_under_blocks(self, unit_grid, block_rows):
-        sample = sample_wiener(3 * self.ROWS, unit_grid, 20, SeededRng(31, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 3 * self.ROWS, unit_grid, SeededRng(31, 0))
         system = fit_fpca(sample)
         block_rows(self.ROWS, unit_grid.size)
         x = sample.curve(2 * self.ROWS)
@@ -345,7 +345,7 @@ class TestRowBlocks:
         np.testing.assert_allclose(vec, scores(sample, system, 3).entries[2 * self.ROWS], rtol=1e-13, atol=1e-15)
 
     def test_budget_below_one_row_takes_one_row_at_a_time(self, unit_grid, monkeypatch):
-        sample = sample_wiener(5, unit_grid, 20, SeededRng(32, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 5, unit_grid, SeededRng(32, 0))
         monkeypatch.setattr(grids, "_ROW_BLOCK_FLOATS", 1)
         oracle = _one_shot_covariance(sample)
         np.testing.assert_allclose(empirical_covariance(sample), oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max())
@@ -364,7 +364,7 @@ def test_temporaries_stay_one_block(traced_peak):
 
 def test_fit_takes_the_sample_mean_once(unit_grid, monkeypatch):
     # The covariance centres at the mean the fit already took, bit for bit as if it took its own.
-    sample = sample_wiener(50, unit_grid, 20, SeededRng(34, 0))
+    sample = sample_process(ProcessSpec("wiener", J=20), 50, unit_grid, SeededRng(34, 0))
     mean = empirical_mean(sample)
     assert empirical_covariance(sample, mean).tobytes() == empirical_covariance(sample).tobytes()
     calls = []

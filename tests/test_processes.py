@@ -12,11 +12,7 @@ from smallball import (
     default_grid,
     draw_scalar,
     fit_fpca,
-    sample_exp_power_kl,
-    sample_gaussian_kl,
     sample_process,
-    sample_sine,
-    sample_wiener,
     target_curves,
     true_intensity,
     wiener_eigenvalues,
@@ -43,37 +39,49 @@ class TestDrawScalar:
             draw_scalar("cauchy", SeededRng(3, 0))
 
 
+# One valid spec of each kind, with every field its kind reads set off its default.
+SPECS = {
+    "sine": ProcessSpec("sine", dist="std-chisq8"),
+    "wiener": ProcessSpec("wiener", J=30),
+    "gaussian-kl": ProcessSpec("gaussian-kl", J=6, lambdas=1.0 / np.arange(1, 8.0) ** 2),
+    "exp-power-kl": ProcessSpec("exp-power-kl", J=5, lambdas=np.exp(-np.arange(1, 6.0)), q=3.0),
+}
+
+
 class TestDeterminism:
-    def test_same_key_same_sample(self, unit_grid):
-        a = sample_wiener(20, unit_grid, 30, SeededRng(7, 3))
-        b = sample_wiener(20, unit_grid, 30, SeededRng(7, 3))
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_same_key_same_sample(self, kind, unit_grid):
+        a = sample_process(SPECS[kind], 20, unit_grid, SeededRng(7, 3))
+        b = sample_process(SPECS[kind], 20, unit_grid, SeededRng(7, 3))
         assert np.array_equal(a.values, b.values)
 
-    def test_distinct_streams_differ(self, unit_grid):
-        a = sample_wiener(20, unit_grid, 30, SeededRng(7, 0))
-        b = sample_wiener(20, unit_grid, 30, SeededRng(7, 1))
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_distinct_streams_differ(self, kind, unit_grid):
+        a = sample_process(SPECS[kind], 20, unit_grid, SeededRng(7, 0))
+        b = sample_process(SPECS[kind], 20, unit_grid, SeededRng(7, 1))
         assert not np.array_equal(a.values, b.values)
 
-    def test_stream_order_irrelevant(self, unit_grid):
-        forward = [sample_wiener(5, unit_grid, 10, SeededRng(9, s)).values for s in range(4)]
-        backward = [sample_wiener(5, unit_grid, 10, SeededRng(9, s)).values for s in (3, 2, 1, 0)]
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_stream_order_irrelevant(self, kind, unit_grid):
+        forward = [sample_process(SPECS[kind], 5, unit_grid, SeededRng(9, s)).values for s in range(4)]
+        backward = [sample_process(SPECS[kind], 5, unit_grid, SeededRng(9, s)).values for s in (3, 2, 1, 0)]
         for s in range(4):
             assert np.array_equal(forward[s], backward[3 - s])
 
 
 class TestSineProcess:
     def test_rank_one_spectrum(self, sine_grid):
-        sample = sample_sine(300, sine_grid, "std-normal", SeededRng(10, 0))
+        sample = sample_process(ProcessSpec("sine"), 300, sine_grid, SeededRng(10, 0))
         system = fit_fpca(sample)
         assert system.eigenvalues[1] / system.eigenvalues[0] < 1e-10
 
     def test_leading_eigenvalue_near_one(self, sine_grid):
-        sample = sample_sine(5000, sine_grid, "std-normal", SeededRng(11, 0))
+        sample = sample_process(ProcessSpec("sine"), 5000, sine_grid, SeededRng(11, 0))
         system = fit_fpca(sample)
         assert abs(system.eigenvalues[0] - 1.0) < 0.05
 
     def test_eigenfunction_recovers_basis(self, sine_grid):
-        sample = sample_sine(500, sine_grid, "std-t5", SeededRng(12, 0))
+        sample = sample_process(ProcessSpec("sine", dist="std-t5"), 500, sine_grid, SeededRng(12, 0))
         system = fit_fpca(sample)
         e1 = sine_basis_function(sine_grid)
         gap = np.sum(sine_grid.weights * (system.eigenfunctions[0] - e1) ** 2)
@@ -83,27 +91,34 @@ class TestSineProcess:
 
 class TestWienerProcess:
     def test_starts_at_zero(self, unit_grid):
-        sample = sample_wiener(50, unit_grid, 50, SeededRng(13, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 50, unit_grid, SeededRng(13, 0))
         assert np.all(sample.values[:, 0] == 0.0)
 
     def test_pointwise_variance_at_endpoint(self, unit_grid):
         truncated_var = 2.0 * wiener_eigenvalues(50).sum()  # brute-force partial sum
-        sample = sample_wiener(2000, unit_grid, 50, SeededRng(14, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 2000, unit_grid, SeededRng(14, 0))
         estimate = sample.values[:, -1].var()
         assert abs(estimate - truncated_var) < 0.1
 
     def test_basis_is_built_once_per_grid_and_j(self, unit_grid):
-        processes._wiener_basis_on.cache_clear()
-        first = sample_wiener(30, unit_grid, 20, SeededRng(15, 0))
-        again = sample_wiener(30, Grid(unit_grid.points.copy()), 20, SeededRng(15, 0))
-        info = processes._wiener_basis_on.cache_info()
+        processes._basis_on.cache_clear()
+        spec = ProcessSpec("wiener", J=20)
+        first = sample_process(spec, 30, unit_grid, SeededRng(15, 0))
+        again = sample_process(spec, 30, Grid(unit_grid.points.copy()), SeededRng(15, 0))
+        info = processes._basis_on.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         draws = SeededRng(15, 0).generator().standard_normal((30, 20)) * np.sqrt(wiener_eigenvalues(20))
         built = draws @ wiener_basis(unit_grid, 20)
         assert first.values.tobytes() == again.values.tobytes() == built.tobytes()
-        sample_wiener(30, Grid.uniform(0.0, 2.0, 100), 20, SeededRng(15, 0))
-        sample_wiener(30, unit_grid, 21, SeededRng(15, 0))
-        assert processes._wiener_basis_on.cache_info().currsize == 3
+        sample_process(spec, 30, Grid.uniform(0.0, 2.0, 100), SeededRng(15, 0))
+        sample_process(ProcessSpec("wiener", J=21), 30, unit_grid, SeededRng(15, 0))
+        assert processes._basis_on.cache_info().currsize == 3
+        # Each kind has its own entry; the cache keeps the last four.
+        for kind in ("sine", "gaussian-kl", "exp-power-kl"):
+            sample_process(SPECS[kind], 30, unit_grid, SeededRng(15, 0))
+        info = processes._basis_on.cache_info()
+        assert (info.misses, info.currsize) == (6, 4)
+        assert not processes._basis_on("sine", unit_grid.points.tobytes(), 50).flags.writeable
 
     def test_tail_mass(self):
         assert wiener_tail_mass(50) == pytest.approx(0.002, abs=3e-4)
@@ -112,7 +127,7 @@ class TestWienerProcess:
     def test_empirical_fev(self, unit_grid):
         from smallball import fev
 
-        sample = sample_wiener(2000, unit_grid, 50, SeededRng(0, 0))
+        sample = sample_process(ProcessSpec("wiener", J=50), 2000, unit_grid, SeededRng(0, 0))
         system = fit_fpca(sample)
         assert abs(fev(system.eigenvalues, 1) - 0.811) < 0.02
 
@@ -122,7 +137,7 @@ class TestKlGenerators:
 
     def test_score_variances(self, unit_grid):
         n = 4000
-        sample = sample_gaussian_kl(n, unit_grid, self.lam, 8, SeededRng(15, 0))
+        sample = sample_process(ProcessSpec("gaussian-kl", J=8, lambdas=self.lam), n, unit_grid, SeededRng(15, 0))
         basis = fourier_sine_basis(unit_grid, 3)
         theta = sample.values @ (basis * unit_grid.weights).T
         for j in range(3):
@@ -131,8 +146,9 @@ class TestKlGenerators:
 
     def test_exp_power_q2_matches_gaussian_law(self, unit_grid):
         n = 4000
-        gauss = sample_gaussian_kl(n, unit_grid, self.lam, 8, SeededRng(16, 0))
-        power = sample_exp_power_kl(n, unit_grid, self.lam, 2.0, 8, SeededRng(17, 0))
+        gauss = sample_process(ProcessSpec("gaussian-kl", J=8, lambdas=self.lam), n, unit_grid, SeededRng(16, 0))
+        spec = ProcessSpec("exp-power-kl", J=8, lambdas=self.lam, q=2.0)
+        power = sample_process(spec, n, unit_grid, SeededRng(17, 0))
         e1 = fourier_sine_basis(unit_grid, 1)[0]
         w = unit_grid.weights
         _, p_value = ks_2samp(gauss.values @ (e1 * w), power.values @ (e1 * w))
@@ -140,22 +156,47 @@ class TestKlGenerators:
 
     def test_exp_power_unit_variance(self, unit_grid):
         for q in (2.0, 3.0, 6.0):
-            sample = sample_exp_power_kl(30_000, unit_grid, np.array([1.0]), q, 1, SeededRng(18, 0))
+            spec = ProcessSpec("exp-power-kl", J=1, lambdas=(1.0,), q=q)
+            sample = sample_process(spec, 30_000, unit_grid, SeededRng(18, 0))
             e1 = fourier_sine_basis(unit_grid, 1)[0]
             theta = sample.values @ (e1 * unit_grid.weights)
             assert abs(theta.var() - 1.0) < 0.05
 
-    def test_rejects_small_q(self, unit_grid):
-        with pytest.raises(ValueError):
-            sample_exp_power_kl(10, unit_grid, np.array([1.0]), 1.0, 1, SeededRng(19, 0))
+    def test_rejects_small_q(self):
+        for q in (1.0, 1.999):
+            with pytest.raises(ValueError, match=r"^the exponential-power family requires q >= 2$"):
+                ProcessSpec("exp-power-kl", J=1, lambdas=(1.0,), q=q)
 
 
 class TestProcessSpec:
-    def test_dispatch_matches_direct_generators(self, unit_grid):
-        spec = ProcessSpec(kind="wiener", J=20)
-        via_spec = sample_process(spec, 10, unit_grid, SeededRng(20, 0))
-        direct = sample_wiener(10, unit_grid, 20, SeededRng(20, 0))
-        assert np.array_equal(via_spec.values, direct.values)
+    @staticmethod
+    def _karhunen_loeve_sum(kind, n, grid, seed):
+        """sum_j sqrt(lambda_j) xi_j e_j built term by term from the spec's Philox stream."""
+        spec, g = SPECS[kind], SeededRng(seed, 2).generator()
+        if kind == "sine":
+            lam, basis = [1.0], sine_basis_function(grid)[None, :]
+            xi = (g.chisquare(8, (n, 1)) - 8.0) / 4.0
+        elif kind == "wiener":
+            lam, basis = wiener_eigenvalues(spec.J), wiener_basis(grid, spec.J)
+            xi = g.standard_normal((n, spec.J))
+        else:
+            lam, basis = spec.lambdas[: spec.J], fourier_sine_basis(grid, spec.J)
+            if kind == "gaussian-kl":
+                xi = g.standard_normal((n, spec.J))
+            else:
+                radius = g.gamma(1.0 / spec.q, size=(n, spec.J)) ** (1.0 / spec.q)
+                sign = 2.0 * g.integers(0, 2, size=(n, spec.J)) - 1.0
+                xi = sign * radius / math.sqrt(math.gamma(3.0 / spec.q) / math.gamma(1.0 / spec.q))
+        return sum(math.sqrt(lam[j]) * xi[:, j, None] * basis[j][None, :] for j in range(len(lam)))
+
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_sample_is_its_karhunen_loeve_sum(self, kind, unit_grid, sine_grid):
+        grid = sine_grid if kind == "sine" else unit_grid
+        for n in (1, 40):
+            sample = sample_process(SPECS[kind], n, grid, SeededRng(20, 2))
+            assert sample.grid is grid and sample.values.shape == (n, grid.size)
+            expected = self._karhunen_loeve_sum(kind, n, grid, 20)
+            np.testing.assert_allclose(sample.values, expected, rtol=0, atol=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,18 +11,19 @@ from smallball import (
     DecayClass,
     FunctionalSample,
     Grid,
+    ProcessSpec,
     SeededRng,
     SmallBallWarning,
     ball_volume,
     classify_decay,
     correction_factor,
     empirical_smbp,
+    estimate_surrogate_density,
     exp_power_intensity,
     factorize,
     fit_fpca,
     gaussian_intensity,
-    sample_gaussian_kl,
-    sample_wiener,
+    sample_process,
     scores,
     select_dimension_hyper,
     select_dimension_prop1,
@@ -31,6 +33,8 @@ from smallball import (
     wiener_intensity,
 )
 from smallball import grids
+from smallball.density import KERNEL_FAMILIES
+from smallball.smbp import FactorizationReport
 
 
 class TestBallVolume:
@@ -53,6 +57,16 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ball_volume(0, 1.0)
 
+    @pytest.mark.parametrize("d, eps", [(50, 1e-7), (9, 1e-38), (1, 1e308), (9, 1e40)])
+    def test_volume_outside_the_float_range_refused(self, d, eps):
+        # The first two underflow to 0, the last two overflow.
+        with pytest.raises(ValueError, match=re.escape(f"at d = {d}, eps = {eps:g} is 0 or infinite")):
+            ball_volume(d, eps)
+
+    def test_smallest_and_largest_volumes_kept(self):
+        assert 0.0 < ball_volume(50, 1e-6) < 1e-300
+        assert 1e300 < ball_volume(1, 1e300) < math.inf
+
 
 class TestTailStatistic:
     def test_identical_tails(self):
@@ -71,6 +85,28 @@ class TestTailStatistic:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             tail_statistic([0.1], [0.1, 0.2], 0.5)
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-300, 1e170, 1e308])
+    def test_any_finite_positive_eps(self, eps):
+        # eps^2 leaves the float range, S does not.
+        assert tail_statistic([0.0, 0.0], [0.6 * eps, 0.8 * eps], eps) == pytest.approx(1.0, rel=1e-15)
+        assert tail_statistic([0.0], [0.0], eps) == 0.0
+
+    def test_past_the_largest_float_is_inf(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert tail_statistic([0.0], [1.0], 1e-170) == math.inf
+            assert tail_statistic([0.0], [1.0], 1e308) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+        st.floats(1e-6, 1e6),
+    )
+    def test_bytes_of_the_plain_formula(self, tail, eps):
+        # Where eps^2 is a normal float, the power-of-two scaling changes no bit.
+        theta = np.asarray(tail)
+        plain = np.sum((theta - 0.25) ** 2) / eps**2
+        assert tail_statistic(np.full(theta.size, 0.25), theta, eps) == plain
 
 
 class TestCorrectionFactor:
@@ -144,7 +180,7 @@ class TestClassifyDecay:
 
     def test_estimated_hyper_spectrum(self, unit_grid):
         lam = np.exp(-np.arange(1, 9, dtype=float) ** 2)
-        sample = sample_gaussian_kl(2000, unit_grid, lam, 8, SeededRng(21, 0))
+        sample = sample_process(ProcessSpec("gaussian-kl", J=8, lambdas=lam), 2000, unit_grid, SeededRng(21, 0))
         system = fit_fpca(sample)
         estimated = system.eigenvalues[system.eigenvalues > 1e-12][:5]
         assert classify_decay(estimated, 4).label is DecayClass.HYPER
@@ -223,6 +259,14 @@ class TestVolumeFactor:
     def test_exponential_reports_alpha(self):
         _, info = volume_factor(0.1, 4, DecayClass.EXPONENTIAL, lambda_d=0.04)
         assert info["alpha"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-300, 1e200])
+    def test_any_finite_positive_eps(self, eps):
+        # eps^2 underflows or overflows; the log volume does not.
+        log_phi, _ = volume_factor(eps, 2, DecayClass.SUPER)
+        assert log_phi == pytest.approx(math.log(math.pi * math.e) + 2.0 * math.log(eps), rel=1e-14)
+        _, info = volume_factor(eps, 2, DecayClass.EXPONENTIAL, lambda_d=0.04)
+        assert info["alpha"] == pytest.approx(5.0 * eps, rel=1e-15)
 
     def test_rejects_other_classes(self):
         with pytest.raises(ValueError, match="ball_volume"):
@@ -332,17 +376,17 @@ class TestWienerIntensity:
 
 class TestEmpiricalSmbp:
     def test_huge_radius(self, unit_grid):
-        sample = sample_wiener(50, unit_grid, 20, SeededRng(30, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 50, unit_grid, SeededRng(30, 0))
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         assert empirical_smbp(sample, x, 100.0) == 1.0
 
     def test_zero_radius(self, unit_grid):
-        sample = sample_wiener(50, unit_grid, 20, SeededRng(31, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 50, unit_grid, SeededRng(31, 0))
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         assert empirical_smbp(sample, x, 0.0) == 0.0
 
     def test_median_distance(self, unit_grid):
-        sample = sample_wiener(40, unit_grid, 20, SeededRng(32, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), 40, unit_grid, SeededRng(32, 0))
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         diffs = sample.values - x.values
         dist = np.sqrt(np.sum(unit_grid.weights * diffs**2, axis=1))
@@ -360,7 +404,7 @@ class TestEmpiricalSmbpRowBlocks:
 
     @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
     def test_blocked_hits_equal_one_shot(self, n, unit_grid, block_rows):
-        sample = sample_wiener(n, unit_grid, 20, SeededRng(40 + n, 0))
+        sample = sample_process(ProcessSpec("wiener", J=20), n, unit_grid, SeededRng(40 + n, 0))
         x = Curve(unit_grid, 0.5 * sample.values[n // 2])
         dist = _one_shot_distances(sample, x)
         block_rows(self.ROWS, unit_grid.size)
@@ -411,7 +455,7 @@ class TestFactorize:
         assert report.phi_d == report.f_d_at_x * report.volume * report.correction
 
     def test_zero_correction_propagates(self, unit_grid):
-        sample = sample_wiener(100, unit_grid, 30, SeededRng(33, 0))
+        sample = sample_process(ProcessSpec("wiener", J=30), 100, unit_grid, SeededRng(33, 0))
         system = fit_fpca(sample)
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         with pytest.warns(SmallBallWarning):
@@ -421,7 +465,7 @@ class TestFactorize:
     def test_json_fields(self, unit_grid):
         import json
 
-        sample = sample_wiener(100, unit_grid, 30, SeededRng(34, 0))
+        sample = sample_process(ProcessSpec("wiener", J=30), 100, unit_grid, SeededRng(34, 0))
         system = fit_fpca(sample)
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         report = factorize(sample, x, 0.5, 2, system, 0.3, 10)
@@ -429,8 +473,21 @@ class TestFactorize:
         assert set(payload) == {"d", "eps", "f_d", "volume", "correction", "phi_d", "tail_mass_omitted"}
         assert payload["d"] == 2
 
+    def test_json_refuses_nan_and_infinity(self):
+        report = FactorizationReport(d=1, eps=0.5, f_d_at_x=math.inf, volume=1.0, correction=0.0,
+                                     phi_d=math.nan, tail_mass_omitted=0.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json()
+
+    @pytest.mark.parametrize("f_d", [math.inf, math.nan, 1e308])
+    def test_phi_d_outside_the_float_range_refused(self, unit_grid, f_d):
+        sample = sample_process(ProcessSpec("wiener", J=30), 100, unit_grid, SeededRng(34, 0))
+        x = Curve(unit_grid, np.zeros(unit_grid.size))
+        with pytest.raises(ValueError, match=r"is not finite at d = 1, eps = 3$"):
+            factorize(sample, x, 3.0, 1, fit_fpca(sample), f_d, 10)
+
     def test_requires_d_below_J(self, unit_grid):
-        sample = sample_wiener(20, unit_grid, 10, SeededRng(35, 0))
+        sample = sample_process(ProcessSpec("wiener", J=10), 20, unit_grid, SeededRng(35, 0))
         system = fit_fpca(sample)
         x = Curve(unit_grid, np.zeros(unit_grid.size))
         with pytest.raises(ValueError):
@@ -442,7 +499,7 @@ class TestCorrectionMonotonicityLaws:
 
     def setup_method(self):
         grid = Grid.uniform(0.0, 1.0, 100)
-        sample = sample_wiener(400, grid, 30, SeededRng(36, 0))
+        sample = sample_process(ProcessSpec("wiener", J=30), 400, grid, SeededRng(36, 0))
         system = fit_fpca(sample)
         self.J = 12
         self.tails = scores(sample, system, self.J).entries
@@ -498,3 +555,37 @@ class TestClassifyDecayFamilies:
     def test_polynomial_sequences_are_slower(self, power):
         lam = np.arange(1, 501, dtype=float) ** -power
         assert classify_decay(lam, 40).label is DecayClass.SLOWER
+
+
+_SCALE_LAW_GRID = Grid.uniform(0.0, 1.0, 100)
+
+
+def _small_ball_chain(sample, x, eps, d, family):
+    """phi_d of the whole chain (fit, project, bandwidth, KDE, factorize) and the oracle's hit fraction."""
+    system = fit_fpca(sample)
+    centre = FunctionalSample(sample.grid, x.values[None, :])
+    f_d = float(estimate_surrogate_density(sample, system, centre, [d], family)[d][1][0])
+    return factorize(sample, x, eps, d, system, f_d, 8), empirical_smbp(sample, x, eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.integers(1, 3),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    k=st.one_of(st.integers(-30, 30), st.none()),
+    c=st.sampled_from([1e-3, 7.3, 1e4]),
+    eps=st.floats(0.2, 1.2),
+)
+def test_small_ball_scale_law(seed, d, family, k, c, eps):
+    # Curves, centre and eps in other units: f_d scales by c^-d and V_d by c^d, so phi_d
+    # stays; S, and so psi and the hits, are the same numbers.  A power of two is exact.
+    c = c if k is None else 2.0**k
+    sample = sample_process(ProcessSpec("wiener", J=20), 200, _SCALE_LAW_GRID, SeededRng(seed, 0))
+    x = Curve(_SCALE_LAW_GRID, 0.5 * sample.values[0])
+    report, hits = _small_ball_chain(sample, x, eps, d, family)
+    scaled = FunctionalSample(_SCALE_LAW_GRID, c * sample.values)
+    report_c, hits_c = _small_ball_chain(scaled, Curve(_SCALE_LAW_GRID, c * x.values), c * eps, d, family)
+    assert report_c.phi_d == pytest.approx(report.phi_d, rel=1e-12, abs=0.0)
+    if k is not None:
+        assert (report_c.correction, hits_c) == (report.correction, hits)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import re
 import subprocess
 import sys
 import types
@@ -130,6 +131,21 @@ def test_all_lists_importable_names_only():
     assert isinstance(names, list) and len(names) == len(set(names))
     assert all(hasattr(smallball, name) for name in names)
     assert not [name for name in names if isinstance(getattr(smallball, name), types.ModuleType)]
+
+
+def test_every_public_name_is_imported_by_a_demo_the_readme_or_a_test():
+    # The README says __all__ is exactly what these import; a name none of them needs is not public.
+    root = Path(__file__).resolve().parents[1]
+    texts = [path.read_text(encoding="utf-8") for path in [*root.glob("demos/*.py"), *root.glob("tests/*.py")]]
+    texts += re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    imported = {
+        alias.name
+        for text in texts
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.module == "smallball"
+        for alias in node.names
+    }
+    assert not set(smallball.__all__) - imported, sorted(set(smallball.__all__) - imported)
 
 
 def test_cli_starts_without_scipy_or_a_thread_pool():
