@@ -212,10 +212,7 @@ def cmd_fpca(args) -> int:
         "mean.csv",
         lambda p: write_sample_csv(FunctionalSample(system.grid, system.mean[None, :]), p),
     )
-    writer.write(
-        "scores.csv",
-        lambda p: write_csv(p, (row.tolist() for row in score_matrix.entries), header=_score_header(d)),
-    )
+    writer.write("scores.csv", lambda p: write_csv(p, score_matrix.entries, header=_score_header(d)))
     writer.finish()
     return 0
 

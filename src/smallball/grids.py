@@ -11,6 +11,10 @@ the buffer must stay writable elsewhere.
 from __future__ import annotations
 
 import itertools
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,13 @@ import numpy as np
 # curves of a sample works one block at a time, so its temporaries do not
 # grow with n.
 _ROW_BLOCK_FLOATS = 2**20
+
+# Cells each part of a split CSV write holds at least.  On a 2-core host a
+# two-part write of 100-column rows overtook the serial one from 8 000
+# cells when the child got the second core at once, and only from 30 000
+# when it first queued behind its parent (medians of 21-61 interleaved
+# writes per size), so a split starts at the later crossover.
+_MIN_CELLS_PER_PART = 15_000
 
 
 class GridMismatchError(ValueError):
@@ -259,15 +270,97 @@ def read_sample_csv(path) -> FunctionalSample:
         raise CsvFormatError(linenos[row], "values must be finite (found nan or inf)") from None
 
 
+def _usable_cores() -> int:
+    """Cores a write may split its rows over.
+
+    1 without ``os.fork`` or ``os.sched_getaffinity``, or while another Python
+    thread is alive: a forked child holds only the calling thread.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_array_rows(fh, values: np.ndarray) -> None:
+    """The rows of a numeric array as Python numbers, whose ``repr`` is their ``str`` and is quicker to call."""
+    for row in values:
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _write_array(fh, path, values: np.ndarray) -> None:
+    """Write the rows of an (n, p) array to ``fh`` in k = min(usable cores, cells // _MIN_CELLS_PER_PART, n) parts."""
+    n = values.shape[0]
+    directory = os.path.dirname(os.path.abspath(path))
+    k = min(_usable_cores(), values.size // _MIN_CELLS_PER_PART, n)
+    if k < 2 or not os.access(directory, os.W_OK):
+        _write_array_rows(fh, values)
+        return
+    bounds = [n * i // k for i in range(k + 1)]
+    children: dict[str, int | None] = {}  # part file -> pid of the child formatting it, None once reaped
+    try:
+        for i in range(1, k):
+            fd, part = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".part")
+            os.close(fd)
+            children[part] = None
+            pid = os.fork()
+            if pid == 0:
+                # The child formats one part and leaves through os._exit, which
+                # skips the caller's finally blocks, exit handlers and buffers.
+                # The try opens before the first point where a signal can raise.
+                status = 1
+                try:
+                    with open(part, "w", encoding="utf-8") as out:
+                        _write_array_rows(out, values[bounds[i] : bounds[i + 1]])
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[part] = pid
+        _write_array_rows(fh, values[: bounds[1]])
+        for i, (part, pid) in enumerate(children.items(), start=1):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children[part] = None
+            if status != 0:
+                raise OSError(
+                    f"cannot write {path}: the child process formatting rows {bounds[i] + 1}-{bounds[i + 1]} "
+                    f"exited with status {status}"
+                )
+            fh.flush()
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
+    finally:
+        for part, pid in children.items():
+            if pid is not None:
+                os.waitpid(pid, 0)
+            os.unlink(part)
+
+
 def write_csv(path, rows, header=None) -> None:
-    """Write an optional header row, then each row, as comma-separated ``str`` cells, one row at a time."""
+    """Write an optional header row, then each row, as comma-separated ``str`` cells.
+
+    ``rows`` is an iterable of row sequences, written one row at a time, or an
+    (n, p) numeric array, whose rows are written as Python numbers
+    (``row.tolist()``).  An array of at least 2 * _MIN_CELLS_PER_PART cells
+    is formatted on up to as many cores as this process may use: the calling
+    process formats the first of k contiguous row parts into the output, a
+    forked child formats each other part into a part file beside the output,
+    and the parts are appended in order to the one open handle, so a pipe
+    works as a target.  The bytes are the same for every k.  k is 1 (no fork)
+    on one core, for a smaller array, without ``os.fork``, where the output's
+    directory is not writable, or while another Python thread is alive.  A
+    child that fails makes the write raise an OSError naming ``path``; no
+    child or part file is left either way.  A child's memory is not counted
+    in the caller's ``ru_maxrss``.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(map(str, header)) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        if isinstance(rows, np.ndarray):
+            _write_array(fh, path, rows)
+        else:
+            for row in rows:
+                fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_sample_csv(sample: FunctionalSample, path) -> None:
     """Write a sample in the CSV format accepted by read_sample_csv."""
-    write_csv(path, (row.tolist() for row in sample.values), header=sample.grid.points.tolist())
+    write_csv(path, sample.values, header=sample.grid.points.tolist())

@@ -171,6 +171,8 @@ def sample_process(spec: ProcessSpec, n: int, grid: Grid, rng: SeededRng) -> Fun
     The sine process is the rank-one case lambda_1 = 1 with xi_1 ~ spec.dist. The
     scores of the other kinds are standard normal, or exponential-power(q) ones.
     """
+    if n < 1:
+        raise ValueError(f"sample size n must be at least 1, got n = {n}")
     basis = _basis_on(spec.kind, grid.points.tobytes(), spec.J)
     shape = (n, basis.shape[0])
     if spec.kind == EXP_POWER_KL:

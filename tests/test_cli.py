@@ -214,6 +214,19 @@ class TestSimulate:
         assert run_cli("simulate", "--out", str(out)) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, via_config", [(-3, False), (0, False), (-3, True)])
+    def test_n_below_one_refused_by_name(self, tmp_path, capsys, n, via_config):
+        args = ["simulate", "--seed", "1", "--out", str(tmp_path / "run")]
+        if via_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"n = {n}\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--n", str(n)]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: sample size n must be at least 1, got n = {n}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         blobs = []
         for name in ("a", "b"):

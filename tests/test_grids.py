@@ -1,5 +1,8 @@
 import math
 import os
+import re
+import shutil
+import subprocess
 import threading
 import warnings
 
@@ -490,3 +493,174 @@ def test_missing_rows_report_the_oracle_line(tmp_path_factory, data, sample, sha
     lines = {"no curve row": path.read_text(encoding="utf-8").splitlines()[:1], "empty": [], "blank only": [""]}[shape]
     _write_lines(path, _with_blanks(data.draw, lines), "\n")
     assert _error_line(read_sample_csv, path) == _error_line(_oracle_read_sample_csv, path)
+
+
+def _serial_csv(path, values, header=None) -> bytes:
+    """The reference: the one-process loop, a header row then each row's ``str`` cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(map(str, header)) + "\n")
+        for row in values:
+            fh.write(",".join(map(str, row.tolist())) + "\n")
+    return path.read_bytes()
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """``set_k(k, min_cells)`` makes a write see k usable cores and a part size floor of ``min_cells``.
+
+    Returns the list of pids the writes then fork, in order.
+    """
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def set_k(k: int, min_cells: int = 1):
+        monkeypatch.setattr(grids, "_usable_cores", lambda: k)
+        monkeypatch.setattr(grids, "_MIN_CELLS_PER_PART", min_cells)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    return set_k
+
+
+def _values(rows: int, cols: int, seed: int) -> np.ndarray:
+    return np.cumsum(np.random.default_rng(seed).standard_normal((rows, cols)), axis=1) / 7.0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestSplitWrite:
+    # A write split over k forked children gives the bytes of the serial loop.
+    @pytest.mark.parametrize(
+        "k, n", sorted({(k, n) for k in (1, 2, 3, 4) for n in (1, k - 1, k, k + 1, 13) if n >= 1})
+    )
+    @pytest.mark.parametrize("header", [None, [0.0, 0.25, 0.5, 1.0, 1e-300]])
+    def test_every_k_writes_the_serial_bytes(self, tmp_path, split_into, k, n, header):
+        values = _values(n, 5, seed=n + 10 * k)
+        forked = split_into(k)
+        path = tmp_path / "out.csv"
+        grids.write_csv(path, values, header=header)
+        assert path.read_bytes() == _serial_csv(tmp_path / "serial.csv", values, header)
+        assert len(forked) == min(k, n) - 1
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "serial.csv"]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_extreme_values_write_their_str(self, tmp_path, split_into, k):
+        # An array's cells are written with repr, the str of a Python float.
+        cells = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5, 0.1, 123456789.0]
+        values = np.array([cells, cells[::-1]])
+        split_into(k)
+        path = tmp_path / "out.csv"
+        grids.write_csv(path, values)
+        assert path.read_bytes() == _serial_csv(tmp_path / "serial.csv", values)
+        assert path.read_text().splitlines()[0] == ",".join(str(c) for c in cells)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or shutil.which("cat") is None, reason="no named pipes or cat")
+    def test_fifo_target(self, tmp_path, split_into):
+        # The parts are appended to the one open handle, so a pipe takes them in order.
+        values = _values(9, 4, seed=3)
+        forked = split_into(3)
+        fifo, got = tmp_path / "out.fifo", tmp_path / "got.csv"
+        os.mkfifo(fifo)
+        with open(got, "wb") as sink:
+            reader = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+            try:
+                grids.write_csv(fifo, values, header=["a", "b", "c", "d"])
+            finally:
+                assert reader.wait(timeout=30) == 0
+        assert got.read_bytes() == _serial_csv(tmp_path / "serial.csv", values, ["a", "b", "c", "d"])
+        assert len(forked) == 2
+        assert sorted(os.listdir(tmp_path)) == ["got.csv", "out.fifo", "serial.csv"]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_split_sample_reads_back_bit_identical(self, tmp_path, split_into, k):
+        # At the real part size floor: 1401 x 100 cells make at least 9 parts' worth.
+        grid = Grid.uniform(0.0, 1.0, 100)
+        sample = FunctionalSample(grid, _values(1401, grid.size, seed=k))
+        forked = split_into(k, grids._MIN_CELLS_PER_PART)
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        assert len(forked) == k - 1
+        assert path.read_bytes() == _serial_csv(tmp_path / "serial.csv", sample.values, grid.points.tolist())
+        back = read_sample_csv(path)
+        assert back.grid.points.tobytes() == grid.points.tobytes()
+        assert back.values.tobytes() == sample.values.tobytes()
+        _assert_no_child()
+
+    def test_small_output_is_not_split(self, tmp_path, split_into):
+        values = _values(2 * grids._MIN_CELLS_PER_PART // 100 - 1, 100, seed=1)
+        forked = split_into(4, grids._MIN_CELLS_PER_PART)
+        grids.write_csv(tmp_path / "out.csv", values)
+        assert forked == []
+
+    def test_no_split_where_no_part_file_can_be_made(self, tmp_path, split_into, monkeypatch):
+        # A target such as /dev/stdout sits in a directory a user cannot write.
+        values = _values(9, 4, seed=4)
+        forked = split_into(3)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = tmp_path / "out.csv"
+        grids.write_csv(path, values)
+        assert forked == []
+        assert path.read_bytes() == _serial_csv(tmp_path / "serial.csv", values)
+
+    def test_a_failed_child_fails_the_write(self, tmp_path, split_into, monkeypatch):
+        parent, write_rows = os.getpid(), grids._write_array_rows
+
+        def fail_in_child(fh, values):
+            if os.getpid() != parent:
+                raise RuntimeError("formatter fault")
+            write_rows(fh, values)
+
+        monkeypatch.setattr(grids, "_write_array_rows", fail_in_child)
+        forked = split_into(3)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match=re.escape(str(path))) as err:
+            grids.write_csv(path, _values(10, 3, seed=2))
+        assert "exited with status 1" in str(err.value)
+        assert len(forked) == 2
+        assert os.listdir(tmp_path) == ["out.csv"]
+        _assert_no_child()
+
+    def test_a_fault_in_the_parent_part_still_reaps_the_children(self, tmp_path, split_into, monkeypatch):
+        parent, write_rows = os.getpid(), grids._write_array_rows
+
+        def fail_in_parent(fh, values):
+            if os.getpid() == parent:
+                raise RuntimeError("formatter fault")
+            write_rows(fh, values)
+
+        monkeypatch.setattr(grids, "_write_array_rows", fail_in_parent)
+        forked = split_into(4)
+        with pytest.raises(RuntimeError, match="formatter fault"):
+            grids.write_csv(tmp_path / "out.csv", _values(10, 3, seed=2))
+        assert len(forked) == 3
+        assert os.listdir(tmp_path) == ["out.csv"]
+        _assert_no_child()
+
+
+def test_usable_cores_is_one_without_fork_or_with_a_thread(monkeypatch):
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    assert grids._usable_cores() == cores
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, daemon=True)
+    waiter.start()
+    try:
+        assert grids._usable_cores() == 1
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert grids._usable_cores() == 1

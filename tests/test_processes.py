@@ -48,6 +48,13 @@ SPECS = {
 }
 
 
+@pytest.mark.parametrize("kind", SPECS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_refused_by_name(kind, n, unit_grid):
+    with pytest.raises(ValueError, match=rf"^sample size n must be at least 1, got n = {n}$"):
+        sample_process(SPECS[kind], n, unit_grid, SeededRng(7, 0))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", SPECS)
     def test_same_key_same_sample(self, kind, unit_grid):

@@ -151,7 +151,8 @@ def test_every_public_name_is_imported_by_a_demo_the_readme_or_a_test():
 def test_cli_starts_without_scipy_or_a_thread_pool():
     # Every CLI command runs in a fresh process, so each module imported at
     # start-up is paid on every call. scipy is only a test dependency, and the
-    # thread pool serves only studies run with more than one thread.
+    # thread pool serves only studies run with more than one thread. The CSV
+    # writer forks with os.fork alone, never through multiprocessing.
     src = str(Path(smallball.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -163,5 +164,7 @@ def test_cli_starts_without_scipy_or_a_thread_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
     loaded = done.stdout.split()
     assert "smallball.cli" in loaded
-    unwanted = [m for m in loaded if m == "scipy" or m.startswith("scipy.") or m.startswith("concurrent.futures")]
+    unwanted = [
+        m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing") or m.startswith("concurrent.futures")
+    ]
     assert not unwanted, f"modules loaded at CLI start-up: {unwanted}"
