@@ -10,11 +10,13 @@ the buffer must stay writable elsewhere.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import shutil
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,13 @@ _ROW_BLOCK_FLOATS = 2**20
 # when it first queued behind its parent (medians of 21-61 interleaved
 # writes per size), so a split starts at the later crossover.
 _MIN_CELLS_PER_PART = 15_000
+
+# File bytes each part of a split CSV read holds at least.  On a 2-core host
+# a fork, the child's exit and the copy-on-write faults after it cost a
+# two-part read 3-4 ms, and it overtook the serial one between 0.8 and 1.2
+# MB of 100-column rows (quartiles of 41 interleaved reads per size, in a
+# process holding 40 MB), so a split starts at the later crossover.
+_MIN_BYTES_PER_READ_PART = 600_000
 
 
 class GridMismatchError(ValueError):
@@ -221,32 +230,23 @@ def _unparseable(lineno: int, line: str) -> CsvFormatError:
     return CsvFormatError(lineno, f"cannot parse value {cell!r} in column {col + 1}")
 
 
-def read_sample_csv(path) -> FunctionalSample:
-    """Read a sample from CSV: first row grid abscissae, one curve per row.
-
-    UTF-8, comma separated, '.' decimal point; blank and whitespace-only lines
-    are skipped.  Files and pipes are read in one pass: the nonblank lines go
-    straight from the open file into one numpy C call that parses every cell,
-    so no copy of the text is held.  Malformed content (a cell that does not
-    parse, a byte that is not UTF-8, a row of the wrong width, no curve row, a
-    nan or inf) raises CsvFormatError with the 1-based line number.
-    """
+def _read_serial(path) -> FunctionalSample:
+    """The one pass over a sample CSV that every fault is named from (see read_sample_csv)."""
     linenos: list[int] = []  # the file line of each nonblank line handed to the parser
-    last = ""
+    first = last = ""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
 
         def nonblank():
-            nonlocal last
+            nonlocal first, last
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     linenos.append(lineno)
+                    first = first or line
                     last = line
                     yield line
 
-        rows = nonblank()
-        head = list(itertools.islice(rows, 1))  # given no lines at all, loadtxt warns
         try:
-            table = _parse_rows(itertools.chain(head, rows)) if head else np.empty((0, 0))
+            table = _parse_nonblank(nonblank())
         except ValueError:
             # The parser refuses a line before it takes the next one, so the
             # fault is on the last line taken.
@@ -254,7 +254,7 @@ def read_sample_csv(path) -> FunctionalSample:
                 found = _parse_rows([last]).shape[1]
             except ValueError:
                 raise _unparseable(linenos[-1], last) from None
-            width = _parse_rows(head).shape[1]
+            width = _parse_rows([first]).shape[1]
             raise CsvFormatError(linenos[-1], f"expected {width} columns, found {found}") from None
     if table.shape[0] < 2:
         raise CsvFormatError((linenos[-1] if linenos else 0) + 1, "need a grid row plus at least one curve row")
@@ -270,8 +270,123 @@ def read_sample_csv(path) -> FunctionalSample:
         raise CsvFormatError(linenos[row], "values must be finite (found nan or inf)") from None
 
 
+def _parse_nonblank(rows) -> np.ndarray:
+    """Nonblank lines through the one parser; a (0, 0) array given none, where loadtxt would warn."""
+    head = list(itertools.islice(rows, 1))
+    return _parse_rows(itertools.chain(head, rows)) if head else np.empty((0, 0))
+
+
+class _Span(io.RawIOBase):
+    """Bytes [start, end) of an open file, read by position, so processes sharing the descriptor share no offset."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.at, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = os.preadv(self.fd, [memoryview(buffer)[: max(0, self.end - self.at)]], self.at)
+        self.at += got
+        return got
+
+
+def _parse_span(fd: int, start: int, end: int) -> np.ndarray:
+    """The nonblank lines of bytes [start, end) of a file, decoded as the serial read decodes them, parsed."""
+    wrapper = io.TextIOWrapper(io.BufferedReader(_Span(fd, start, end)), encoding="utf-8", errors="surrogateescape")
+    with wrapper as fh:
+        return _parse_nonblank(line for line in fh if line.strip())
+
+
+def _line_start_after(fh, offset: int) -> int:
+    """The first line start past byte ``offset`` of a binary file, or its end."""
+    fh.seek(offset)
+    fh.readline()
+    return fh.tell()
+
+
+def _read_split(path) -> FunctionalSample | None:
+    """A regular file's sample parsed in k contiguous parts of whole lines, one per usable core; None where it is not.
+
+    k = min(usable cores, file bytes // _MIN_BYTES_PER_READ_PART).  This
+    process parses part 0; a forked child parses each other part into a part
+    file in the system temp directory (the row width as 8 bytes, then the
+    float64 rows), read straight into the one table.  None also where a part
+    does not parse, holds no row or rows of another width, a child fails, or
+    the table is not a sample (a nan or inf, a bad grid): the serial read
+    then names the fault.
+    """
+    try:
+        size = os.stat(path).st_size  # 0 for a pipe or a FIFO
+    except OSError:
+        return None
+    k = min(_usable_cores(), size // _MIN_BYTES_PER_READ_PART)
+    if k < 2:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            fd = fh.fileno()
+            bounds = sorted({0, size, *(_line_start_after(fh, size * i // k) for i in range(1, k))})
+
+            def parse_part(i: int, part: str) -> None:
+                table = _parse_span(fd, bounds[i], bounds[i + 1])
+                with open(part, "wb") as out:
+                    out.write(table.shape[1].to_bytes(8, "little"))
+                    out.write(table.data)
+
+            with _forked_parts(len(bounds) - 1, path, None, parse_part) as reaped:
+                first = _parse_span(fd, bounds[0], bounds[1])
+                if not first.size:
+                    return None
+                width, parts = first.shape[1], []  # (part file, rows) of each child, in order
+                for part, status in reaped:
+                    if status != 0:
+                        return None
+                    with open(part, "rb") as src:
+                        if int.from_bytes(src.read(8), "little") != width:  # 0 from a part with no row
+                            return None
+                        parts.append((part, (os.fstat(src.fileno()).st_size - 8) // (8 * width)))
+                at = first.shape[0]
+                table = np.empty((at + sum(rows for _, rows in parts), width))
+                table[:at] = first
+                del first
+                for part, rows in parts:
+                    with open(part, "rb") as src:
+                        src.seek(8)
+                        src.readinto(table[at : at + rows])
+                    at += rows
+        return FunctionalSample(Grid(table[0]), table[1:])
+    except (OSError, ValueError):
+        return None
+
+
+def read_sample_csv(path) -> FunctionalSample:
+    """Read a sample from CSV: first row grid abscissae, one curve per row.
+
+    UTF-8, comma separated, '.' decimal point; blank and whitespace-only lines
+    are skipped.  The nonblank lines go straight from the open file into one
+    numpy C call that parses every cell, so no copy of the text is held.  A
+    regular file of at least 2 * _MIN_BYTES_PER_READ_PART bytes is parsed on
+    up to as many cores as this process may use: it is cut at line starts
+    into k contiguous parts, this process parses the first and a forked child
+    each other one, and the rows are gathered into one array.  Each cell goes
+    through the same correctly rounded parser, so the values are the same
+    bits for every k.  k is 1 (no fork) for a pipe, a smaller file, on one
+    core, without ``os.fork``, or while another Python thread is alive.  No
+    child or part file is left after a read.
+
+    Malformed content (a cell that does not parse, a byte that is not UTF-8,
+    a row of the wrong width, no curve row, a nan or inf) raises
+    CsvFormatError with the 1-based line number.  Faults are named only by
+    the serial pass: where any part, or any child, fails, the file is read
+    again in one pass, which raises the error.
+    """
+    sample = _read_split(path)
+    return _read_serial(path) if sample is None else sample
+
+
 def _usable_cores() -> int:
-    """Cores a write may split its rows over.
+    """Cores a CSV read or write may split its rows over.
 
     1 without ``os.fork`` or ``os.sched_getaffinity``, or while another Python
     thread is alive: a forked child holds only the calling thread.
@@ -287,38 +402,67 @@ def _write_array_rows(fh, values: np.ndarray) -> None:
         fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+@contextmanager
+def _forked_parts(k: int, path, directory, work):
+    """Run ``work(i, part file)`` for parts i = 1..k-1, each in a forked child, while the block runs part 0.
+
+    The part files are made empty in ``directory`` (None: the system temp
+    directory), named after ``path``.  Yields the children's (part file, exit
+    status) pairs in part order, each once its child is reaped: 0 once
+    ``work`` returns, 1 if it raises.  On leaving the block every child is
+    reaped and every part file removed.
+    """
+    prefix = os.fsdecode(os.path.basename(path)) + "."
+    children: dict[str, int | None] = {}  # part file -> pid of its child, None once reaped
+    try:
+        for i in range(1, k):
+            fd, part = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".part")
+            os.close(fd)
+            children[part] = None
+            pid = os.fork()
+            if pid == 0:
+                # The child leaves through os._exit, which skips the caller's
+                # finally blocks, exit handlers and buffers.  The try opens
+                # before the first point where a signal can raise.
+                status = 1
+                try:
+                    work(i, part)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[part] = pid
+
+        def reaped():
+            for part, pid in children.items():
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children[part] = None
+                yield part, status
+
+        yield reaped()
+    finally:
+        for part, pid in children.items():
+            if pid is not None:
+                os.waitpid(pid, 0)
+            os.unlink(part)
+
+
 def _write_array(fh, path, values: np.ndarray) -> None:
     """Write the rows of an (n, p) array to ``fh`` in k = min(usable cores, cells // _MIN_CELLS_PER_PART, n) parts."""
     n = values.shape[0]
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.fsdecode(os.path.dirname(os.path.abspath(path)))
     k = min(_usable_cores(), values.size // _MIN_CELLS_PER_PART, n)
     if k < 2 or not os.access(directory, os.W_OK):
         _write_array_rows(fh, values)
         return
     bounds = [n * i // k for i in range(k + 1)]
-    children: dict[str, int | None] = {}  # part file -> pid of the child formatting it, None once reaped
-    try:
-        for i in range(1, k):
-            fd, part = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".part")
-            os.close(fd)
-            children[part] = None
-            pid = os.fork()
-            if pid == 0:
-                # The child formats one part and leaves through os._exit, which
-                # skips the caller's finally blocks, exit handlers and buffers.
-                # The try opens before the first point where a signal can raise.
-                status = 1
-                try:
-                    with open(part, "w", encoding="utf-8") as out:
-                        _write_array_rows(out, values[bounds[i] : bounds[i + 1]])
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[part] = pid
+
+    def write_part(i: int, part: str) -> None:
+        with open(part, "w", encoding="utf-8") as out:
+            _write_array_rows(out, values[bounds[i] : bounds[i + 1]])
+
+    with _forked_parts(k, path, directory, write_part) as reaped:
         _write_array_rows(fh, values[: bounds[1]])
-        for i, (part, pid) in enumerate(children.items(), start=1):
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children[part] = None
+        for i, (part, status) in enumerate(reaped, start=1):
             if status != 0:
                 raise OSError(
                     f"cannot write {path}: the child process formatting rows {bounds[i] + 1}-{bounds[i + 1]} "
@@ -327,11 +471,6 @@ def _write_array(fh, path, values: np.ndarray) -> None:
             fh.flush()
             with open(part, "rb") as src:
                 shutil.copyfileobj(src, fh.buffer)
-    finally:
-        for part, pid in children.items():
-            if pid is not None:
-                os.waitpid(pid, 0)
-            os.unlink(part)
 
 
 def write_csv(path, rows, header=None) -> None:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -54,3 +55,18 @@ def block_rows(monkeypatch):
         monkeypatch.setattr(grids, "_ROW_BLOCK_FLOATS", rows * width)
 
     return set_rows
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make ``os.fork`` record the pid of each child it starts; returns that list, in order."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import smallball
-from smallball import _blas, cli, experiments
+from smallball import _blas, cli, experiments, grids
 from smallball.experiments import ExperimentConfig, ReplicationError, run_experiment
 from smallball.processes import ProcessSpec
 
@@ -110,13 +110,26 @@ def test_failed_replication_restores(blas_at_two, monkeypatch):
     assert blas_at_two() == 2
 
 
-def test_cli_pins_one_thread_and_restores(blas_at_two, tmp_path, capsys):
+def test_cli_pins_one_thread_and_restores(blas_at_two, tmp_path, capsys, monkeypatch, forks):
     assert cli.main(["simulate", "--seed", "1", "--n", "10", "--out", str(tmp_path / "sim")]) == 0
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
     assert manifest["blas_threads"] == 1
     assert blas_at_two() == 2
     assert cli.main(["fpca", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "f")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert blas_at_two() == 2
+
+    # A read split over a forked child: the fork makes OpenBLAS shut its pool
+    # down inside the pin, and the pin still restores the prior count.
+    fpca = ["fpca", "--input", str(tmp_path / "sim" / "sample.csv"), "--d", "1", "--out"]
+    assert cli.main([*fpca, str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(grids, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(grids, "_MIN_BYTES_PER_READ_PART", 1)
+    assert cli.main([*fpca, str(tmp_path / "split")]) == 0
+    assert len(forks) == 1
+    manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == 1
+    assert manifest["outputs"] == json.loads((tmp_path / "serial" / "manifest.json").read_text())["outputs"]
     assert blas_at_two() == 2
 
 

@@ -21,11 +21,13 @@ change notes which outputs moved and by how much.
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smallball import grids
 from smallball.cli import main
 
 RECORD = Path(__file__).parent / "data" / "fixture22.json"
@@ -203,6 +205,19 @@ def test_outputs_match_record(built, recorded, out):
             assert abs(s - ws) <= RTOL * scale and abs(q - wq) <= RTOL * wq, (
                 f"{out}/{name} column {j + 1}: sum {s!r} vs {ws!r}, sum of squares {q!r} vs {wq!r}"
             )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="reads never split here")
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_reads_split_into_k_parts_keep_every_manifest(built, tmp_path, monkeypatch, forks, k):
+    # Every sample CSV of the fixture read in k parts gives the same manifests, output hashes included.
+    monkeypatch.setattr(grids, "_usable_cores", lambda: k)
+    monkeypatch.setattr(grids, "_MIN_BYTES_PER_READ_PART", 1)
+    build_fixture(tmp_path)
+    assert len(forks) >= 15 * (k - 1)  # each of the 15 fpca, density and smbp runs reads its sample in k parts
+    assert {out: _manifest(tmp_path, out) for out, _ in _runs(tmp_path)} == {
+        out: _manifest(built, out) for out, _ in _runs(built)
+    }
 
 
 if __name__ == "__main__":

@@ -3,12 +3,13 @@ import os
 import re
 import shutil
 import subprocess
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smallball import (
@@ -511,25 +512,16 @@ def _assert_no_child() -> None:
 
 
 @pytest.fixture
-def split_into(monkeypatch):
+def split_into(monkeypatch, forks):
     """``set_k(k, min_cells)`` makes a write see k usable cores and a part size floor of ``min_cells``.
 
     Returns the list of pids the writes then fork, in order.
     """
-    forked = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
 
     def set_k(k: int, min_cells: int = 1):
         monkeypatch.setattr(grids, "_usable_cores", lambda: k)
         monkeypatch.setattr(grids, "_MIN_CELLS_PER_PART", min_cells)
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forked
+        return forks
 
     return set_k
 
@@ -599,6 +591,15 @@ class TestSplitWrite:
         assert back.values.tobytes() == sample.values.tobytes()
         _assert_no_child()
 
+    def test_bytes_path(self, tmp_path, split_into):
+        values = _values(9, 4, seed=5)
+        forked = split_into(3)
+        path = tmp_path / "out.csv"
+        grids.write_csv(os.fsencode(path), values)
+        assert path.read_bytes() == _serial_csv(tmp_path / "serial.csv", values)
+        assert len(forked) == 2
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "serial.csv"]
+
     def test_small_output_is_not_split(self, tmp_path, split_into):
         values = _values(2 * grids._MIN_CELLS_PER_PART // 100 - 1, 100, seed=1)
         forked = split_into(4, grids._MIN_CELLS_PER_PART)
@@ -664,3 +665,234 @@ def test_usable_cores_is_one_without_fork_or_with_a_thread(monkeypatch):
     assert not waiter.is_alive()
     monkeypatch.delattr(os, "fork", raising=False)
     assert grids._usable_cores() == 1
+
+
+@pytest.fixture
+def read_in_parts(monkeypatch, forks, tmp_path_factory):
+    """``read(k, path, floor=1)`` reads ``path`` seeing k usable cores and a part floor of ``floor`` bytes.
+
+    Returns the sample, or the CsvFormatError raised, and the pids of the
+    children the read forked.  Its part files go to a fresh temp directory,
+    which it must leave empty, and it must leave no child.
+    """
+
+    def read(k: int, path, floor: int = 1) -> tuple:
+        parts = tmp_path_factory.mktemp("parts")
+        monkeypatch.setattr(grids, "_usable_cores", lambda: k)
+        monkeypatch.setattr(grids, "_MIN_BYTES_PER_READ_PART", floor)
+        monkeypatch.setattr(tempfile, "tempdir", str(parts))
+        before = len(forks)
+        try:
+            result = read_sample_csv(path)
+        except CsvFormatError as err:
+            result = err
+        assert os.listdir(parts) == [], "a part file was left"
+        _assert_no_child()
+        return result, forks[before:]
+
+    return read
+
+
+def _bounds(path, k: int) -> list[int]:
+    """The byte offsets where a read split into k parts cuts the file, as the reader finds them."""
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        return sorted({0, size, *(grids._line_start_after(fh, size * i // k) for i in range(1, k))})
+
+
+def _lines_in_part(lines, bounds, part: int) -> list[int]:
+    """Indices of the newline-ended ``lines``, one byte per character, that start in part ``part`` of ``bounds``."""
+    starts = np.cumsum([0] + [len(line) + 1 for line in lines])[:-1]
+    return [i for i, at in enumerate(starts) if bounds[part] <= at < bounds[part + 1]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="reads never split here")
+class TestSplitRead:
+    # A read split over k forked children gives the serial reader's bits and errors.
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        data=st.data(),
+        sample=_samples(max_rows=12),
+        k=st.integers(min_value=1, max_value=4),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+    )
+    def test_every_k_reads_the_serial_bits(
+        self, tmp_path_factory, read_in_parts, data, sample, k, newline, final_newline
+    ):
+        path = tmp_path_factory.mktemp("csv") / "sample.csv"
+        write_sample_csv(sample, path)
+        lines = _with_blanks(data.draw, path.read_text(encoding="utf-8").splitlines())
+        text = "".join(line + newline for line in lines)
+        path.write_bytes((text if final_newline else text[: -len(newline)]).encode("utf-8"))
+        back, forked = read_in_parts(k, path)
+        oracle = _oracle_read_sample_csv(path)
+        assert back.grid.points.tobytes() == oracle.grid.points.tobytes() == sample.grid.points.tobytes()
+        assert back.values.tobytes() == oracle.values.tobytes() == sample.values.tobytes()
+        assert len(forked) == len(_bounds(path, k)) - 2
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_parts_that_start_on_blank_lines(self, tmp_path, read_in_parts, k, newline):
+        # Each row is long and followed by a short whitespace line, so every cut lands after a row, on a blank.
+        values = _values(8, 40, seed=k)
+        rows = [",".join(map(repr, row)) for row in [np.linspace(0.0, 1.0, 40).tolist(), *values.tolist()]]
+        lines = [line for i, row in enumerate(rows) for line in (row, _BLANKS[i % len(_BLANKS)])]
+        path = tmp_path / "sample.csv"
+        _write_lines(path, lines, newline)
+        starts = _bounds(path, k)[1:-1]
+        text = path.read_bytes()
+        assert len(starts) == k - 1 and all(not text[s : text.index(b"\n", s)].strip() for s in starts)
+        back, forked = read_in_parts(k, path)
+        assert len(forked) == k - 1
+        assert back.values.tobytes() == values.tobytes()
+        assert back.values.tobytes() == _oracle_read_sample_csv(path).values.tobytes()
+
+    @pytest.mark.parametrize("fault", [*_FAULTS, "undecodable byte"])
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_a_fault_in_any_part_names_the_serial_error(self, tmp_path, read_in_parts, fault, part):
+        k = 3
+        path = tmp_path / "bad.csv"
+        write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 6), _values(17, 6, seed=5)), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # The middle line of the part: a planted fault changes its length by a few bytes only.
+        inside = _lines_in_part(lines, _bounds(path, k), part)
+        row = inside[len(inside) // 2]
+        if fault == "undecodable byte":
+            lines[row] = lines[row].replace(",", ",\udcff", 1)
+        else:
+            lines[row] = _plant(fault, lines[row], col=2)
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+        assert row in _lines_in_part(lines, _bounds(path, k), part), "the fault left its part"
+        serial, unforked = read_in_parts(1, path)
+        err, forked = read_in_parts(k, path)
+        assert isinstance(serial, CsvFormatError) and isinstance(err, CsvFormatError)
+        assert str(err) == str(serial) and err.line == serial.line == row + 1
+        assert (len(unforked), len(forked)) == (0, k - 1)
+
+    @pytest.mark.parametrize("part", [1, 2])
+    def test_a_part_of_another_width_names_the_serial_error(self, tmp_path, read_in_parts, part):
+        # Every part parses on its own; only the widths the children report disagree.
+        k = 3
+        path = tmp_path / "bad.csv"
+        write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 6), _values(17, 6, seed=6)), path)
+        lines, bounds = path.read_text(encoding="utf-8").splitlines(), _bounds(path, k)
+        inside = _lines_in_part(lines, bounds, part)
+        for row in inside:  # the last cell becomes spaces, so no cut moves
+            lines[row] = lines[row].rpartition(",")[0].ljust(len(lines[row]))
+        _write_lines(path, lines, "\n")
+        assert _bounds(path, k) == bounds
+        serial, _ = read_in_parts(1, path)
+        err, forked = read_in_parts(k, path)
+        assert str(err) == str(serial) == f"line {inside[0] + 1}: expected 6 columns, found 5"
+        assert len(forked) == k - 1
+
+    @pytest.mark.parametrize("how", ["raises", "exits 3", "fails after its header"])
+    def test_a_failed_child_falls_back_to_the_serial_read(self, tmp_path, monkeypatch, read_in_parts, how):
+        parent, parse_span = os.getpid(), grids._parse_span
+        serial_reads = []
+
+        class HeaderOnly:
+            """A table whose width is written, and whose rows then fail to be: the part file holds no row."""
+
+            def __init__(self, table):
+                self.shape = table.shape
+
+            @property
+            def data(self):
+                raise OSError("no space left on device")
+
+        def fail_in_child(fd, start, end):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("parser fault")
+                if how == "exits 3":
+                    os._exit(3)
+                return HeaderOnly(parse_span(fd, start, end))
+            return parse_span(fd, start, end)
+
+        monkeypatch.setattr(grids, "_parse_span", fail_in_child)
+        real_serial = grids._read_serial
+        monkeypatch.setattr(grids, "_read_serial", lambda path: serial_reads.append(path) or real_serial(path))
+        sample = FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=6))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        back, forked = read_in_parts(3, path)
+        assert len(forked) == 2 and serial_reads == [path]
+        assert back.values.tobytes() == sample.values.tobytes()
+
+    def test_a_fault_in_the_parent_part_still_reaps_the_children(self, tmp_path, monkeypatch, forks, read_in_parts):
+        parent, parse_span = os.getpid(), grids._parse_span
+
+        def fail_in_parent(fd, start, end):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_span(fd, start, end)
+
+        monkeypatch.setattr(grids, "_parse_span", fail_in_parent)
+        path = tmp_path / "sample.csv"
+        write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=7)), path)
+        with pytest.raises(KeyboardInterrupt):
+            read_in_parts(4, path)
+        assert len(forks) == 3
+        assert os.listdir(tempfile.gettempdir()) == []
+        _assert_no_child()
+
+    def test_part_files_go_to_the_temp_directory(self, tmp_path, monkeypatch, read_in_parts):
+        # The input's own directory may be read-only, so nothing is made beside it.
+        parent, parse_span = os.getpid(), grids._parse_span
+        seen = []
+
+        def listing(fd, start, end):
+            if os.getpid() == parent:
+                seen.append((os.listdir(tmp_path), len(os.listdir(tempfile.gettempdir()))))
+            return parse_span(fd, start, end)
+
+        monkeypatch.setattr(grids, "_parse_span", listing)
+        path = tmp_path / "sample.csv"
+        write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=8)), path)
+        read_in_parts(3, path)
+        assert seen == [(["sample.csv"], 2)]
+
+    def test_bytes_path(self, tmp_path, read_in_parts):
+        sample = FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=11))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        back, forked = read_in_parts(3, os.fsencode(path))
+        assert len(forked) == 2
+        assert back.values.tobytes() == sample.values.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_stays_serial(self, tmp_path, read_in_parts):
+        # A FIFO reports a size of 0 bytes, below any part floor.
+        sample = FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=9))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        text = path.read_text(encoding="utf-8")
+        back, forked = _read_through_pipe(tmp_path, text, read=lambda fifo: read_in_parts(4, fifo))
+        assert forked == []
+        assert back.values.tobytes() == sample.values.tobytes()
+
+    def test_small_file_stays_serial(self, tmp_path, read_in_parts):
+        path = tmp_path / "sample.csv"
+        write_sample_csv(FunctionalSample(Grid.uniform(0.0, 1.0, 5), _values(12, 5, seed=10)), path)
+        _, forked = read_in_parts(4, path, floor=os.path.getsize(path) // 2 + 1)
+        assert forked == []
+
+    def test_the_memory_test_sample_splits_on_this_host(self, tmp_path, forks):
+        # test_read_peak_memory_under_twice_the_values reads this sample with the real settings; on two
+        # or more usable cores it is read in parts, so its bound holds for the split read too.
+        if grids._usable_cores() < 2:
+            pytest.skip("one usable core: reads are not split")
+        grid = Grid.uniform(0.0, 1.0, 100)
+        sample = FunctionalSample(grid, np.random.default_rng(6).standard_normal((2000, grid.size)))
+        path = tmp_path / "sample.csv"
+        write_sample_csv(sample, path)
+        assert os.path.getsize(path) >= 2 * grids._MIN_BYTES_PER_READ_PART
+        written = len(forks)
+        back = read_sample_csv(path)
+        assert len(forks) - written == 1
+        assert back.values.tobytes() == sample.values.tobytes()
+        _assert_no_child()

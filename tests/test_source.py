@@ -148,23 +148,33 @@ def test_every_public_name_is_imported_by_a_demo_the_readme_or_a_test():
     assert not set(smallball.__all__) - imported, sorted(set(smallball.__all__) - imported)
 
 
+# What a CLI cold start may load beyond what `import numpy` loads, by top-level
+# name (taken on CPython 3.11 with numpy 2.4).  Every command pays each of
+# these on every call, so a module added here must be worth its import time.
+CLI_START_MODULES = {
+    "__future__", "_blake2", "_hashlib", "_json", "_locale", "argparse", "copy", "dataclasses", "gettext",
+    "hashlib", "json", "locale", "smallball",
+}
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules in sys.modules after a fresh interpreter runs ``code`` with the package importable."""
+    src = str(Path(smallball.__file__).resolve().parents[1])
+    script = f"import sys\nsys.path.insert(0, {src!r})\n{code}\nprint(*sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True)
+    return set(done.stdout.split())
+
+
 def test_cli_starts_without_scipy_or_a_thread_pool():
     # Every CLI command runs in a fresh process, so each module imported at
     # start-up is paid on every call. scipy is only a test dependency, and the
     # thread pool serves only studies run with more than one thread. The CSV
-    # writer forks with os.fork alone, never through multiprocessing.
-    src = str(Path(smallball.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "import smallball, smallball.cli\n"
-        "smallball.cli.build_parser()\n"
-        "print(*sys.modules)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
-    loaded = done.stdout.split()
+    # reader and writer fork with os.fork alone, never through multiprocessing.
+    loaded = _modules_loaded_by("from smallball.cli import build_parser\nbuild_parser()")
     assert "smallball.cli" in loaded
     unwanted = [
         m for m in loaded if m.split(".")[0] in ("scipy", "multiprocessing") or m.startswith("concurrent.futures")
     ]
     assert not unwanted, f"modules loaded at CLI start-up: {unwanted}"
+    beyond = sorted(m for m in loaded - _modules_loaded_by("import numpy") if m.split(".")[0] not in CLI_START_MODULES)
+    assert not beyond, f"modules a CLI start-up loads beyond numpy's and CLI_START_MODULES: {beyond}"
